@@ -107,10 +107,6 @@ class ExactMatrix:
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix")
 
-    @classmethod
-    def from_numpy(cls, field, A):
-        return cls(field, [[int(v) for v in row] for row in A])
-
     def to_numpy(self):
         if not isinstance(self.field, PrimeField):
             raise ValueError("numpy form only for prime fields")

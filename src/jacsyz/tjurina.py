@@ -1,14 +1,24 @@
-"""Global Tjurina numbers via graded Milnor-algebra dimensions, the
-du Plessis-Wall bounds, and the free / nearly free classification.
+"""Global Tjurina numbers, the du Plessis-Wall bounds, and the free /
+nearly free classification.
 
-The stable value of k -> dim (S / (f_x, f_y, f_z))_k is the global Tjurina
-number of a reduced curve; sampling starts at k = 3d-6 and a witness pair of
-equal consecutive values is required.
+``classify`` decides a free curve by a certificate (Saito's criterion, in the
+plane-curve form of Dimca-Sticlaru): with r = mdr(f) and 2r <= d-1, f is free
+with exponents (r, d-1-r) iff syzygies rho1, rho2 of degrees r and d-1-r have
+rho1 x rho2 = c * grad f with c != 0, and then tau = (d-1)^2 - r(d-1-r).  The
+criterion needs f reduced, so the path also needs a reducedness witness: a
+line on which f restricts to a squarefree binary form of full degree d.  It
+runs over Q and over GF(p) with p > d; both syzygies are re-verified exactly.
+
+Every other curve (cones, nearly free and neither curves, small p, no
+witness) gets tau from the Hilbert function of the Milnor algebra: the stable
+value of k -> dim (S / (f_x, f_y, f_z))_k is the global Tjurina number of a
+reduced curve; sampling starts at k = 3d-6 and a witness pair of equal
+consecutive values is required.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from math import comb
 
 import numpy as np
@@ -17,7 +27,9 @@ from .backend import Backend, make_backend
 from .fields import PrimeField, QQ
 from .linalg import ExactMatrix, rank_mod_np
 from .poly import HomogPoly, monomial_count
-from .syzygy import SyzygyTriple, ar_slice, graded_multiplication_matrix, mdr
+from .syzygy import (SyzygyTriple, _slice_nullspace, _vector_to_triple,
+                     ar_slice, graded_multiplication_matrix, mdr,
+                     verify_syzygy)
 
 __all__ = [
     "MilnorProfile",
@@ -28,7 +40,6 @@ __all__ = [
     "global_tjurina",
     "dpw_bounds",
     "thmF_gate",
-    "refine_mdr_candidates",
     "classify",
 ]
 
@@ -148,51 +159,133 @@ def thmF_gate(d: int, r0: int, tau: int) -> str:
     return "attained" if tau == bound else "undershoot"
 
 
-def refine_mdr_candidates(d: int, tau: int, candidates) -> set:
-    """Drop every candidate r whose du Plessis-Wall bound is below tau."""
-    return {r for r in candidates if dpw_bounds(d, r)[0] >= tau}
+# Lines (two points each) tried as reducedness witnesses; coordinates away
+# from the small integers that arrangements and apexes usually have.
+_WITNESS_LINES = (((2, 19, 37), (23, 5, 41)),
+                  ((29, 13, 3), (11, 31, 17)),
+                  ((43, 7, 19), (3, 47, 29)))
+
+
+def _reducedness_witness(f: HomogPoly) -> bool:
+    """True if f restricts to one of the witness lines as a squarefree binary
+    form of full degree d, which proves f reduced: a square factor g^2 of f
+    would restrict to a square factor of positive degree."""
+    for pa, pb in _WITNESS_LINES:
+        u = f.restrict_to_line(pa, pb)
+        if u.degree == f.degree and u.gcd(u.derivative()).degree == 0:
+            return True
+    return False
+
+
+def _product_coeff(p: HomogPoly, q: HomogPoly, exp) -> object:
+    """Coefficient of the monomial ``exp`` in p*q."""
+    F = p.field
+    acc = F.zero()
+    for e, c in p.coeffs.items():
+        v = q.coeffs.get((exp[0] - e[0], exp[1] - e[1], exp[2] - e[2]))
+        if v is not None:
+            acc = F.add(acc, F.mul(c, v))
+    return acc
+
+
+def _cross_multiple(s1: SyzygyTriple, s2: SyzygyTriple, grad) -> bool:
+    """True iff s1 x s2 = c * grad exactly, with a scalar c != 0."""
+    u, v = s1.components(), s2.components()
+    i = next(i for i, g in enumerate(grad) if not g.is_zero())
+    j, k = (i + 1) % 3, (i + 2) % 3
+    exp, lead = grad[i].leading_term()
+    F = grad[i].field
+    # component i of s1 x s2 is u_j v_k - u_k v_j; its coefficient at the
+    # leading monomial of grad_i fixes c, so most misses cost no product
+    c = F.div(F.sub(_product_coeff(u[j], v[k], exp),
+                    _product_coeff(u[k], v[j], exp)), lead)
+    if F.is_zero(c):
+        return False
+    cross = (u[1] * v[2] - u[2] * v[1],
+             u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+    return all(w == g.scale(c) for w, g in zip(cross, grad))
+
+
+@dataclass(frozen=True)
+class _Verdict:
+    """What every backend field must agree on; the certificate (a degree-mdr
+    syzygy) differs between fields and takes no part in the vote."""
+
+    mdr: int
+    tau: int
+    classification: str
+    exponents: tuple | None
+    certificate: SyzygyTriple | None = dc_field(
+        default=None, compare=False, repr=False)
+
+
+def _saito_verdict(f: HomogPoly, r: int) -> _Verdict | None:
+    """Free verdict proved by a verified Saito pair, or None when the
+    criterion does not apply or finds no pair."""
+    d = f.degree
+    F = f.field
+    if not (r >= 1 and 2 * r <= d - 1
+            and (F == QQ or isinstance(F, PrimeField) and F.p > d)
+            and _reducedness_witness(f)):
+        return None
+    rho1 = ar_slice(f, r).basis[0]
+    d2 = d - 1 - r
+    grad = f.gradient()
+    for vec in _slice_nullspace(f, d2):
+        rho2 = _vector_to_triple(F, vec, d2, d)
+        if _cross_multiple(rho1, rho2, grad):
+            if not verify_syzygy(f, rho2):
+                raise ArithmeticError("nullspace triple failed re-verification")
+            return _Verdict(r, (d - 1) ** 2 - r * d2, "free", (r, d2), rho1)
+    return None
+
+
+def _hilbert_verdict(f: HomogPoly, r: int) -> _Verdict:
+    """Class from the stabilized Hilbert function; no certificate."""
+    d = f.degree
+    tau = _profile(f).tau
+    if r == 0:
+        return _Verdict(r, tau, "cone", None)
+    if 2 * r <= d - 1 and tau == (d - 1) ** 2 - r * (d - 1 - r):
+        return _Verdict(r, tau, "free", (r, d - 1 - r))
+    if 2 * r <= d and tau == (d - 1) ** 2 - r * (d - r - 1) - 1:
+        return _Verdict(r, tau, "nearly-free", (r, d - r))
+    return _Verdict(r, tau, "neither", None)
+
+
+def _verdict(f: HomogPoly) -> _Verdict:
+    """mdr, tau, class and exponents of f over its own field."""
+    r = mdr(f)
+    return _saito_verdict(f, r) or _hilbert_verdict(f, r)
 
 
 def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     """Compute r = mdr(f) and tau, then decide free / nearly free / neither /
-    cone with exponents and a syzygy certificate."""
+    cone with exponents and a syzygy certificate.  Free curves are proved by
+    a verified Saito pair where it applies; the rest use the Hilbert path."""
     d = f.degree
     if d < 1:
         raise ValueError("f must have positive degree")
     if isinstance(f.field, PrimeField):
         backend_desc = {"backend": "direct", "primes": [f.field.p]}
-        r = mdr(f)
-        profile = _profile(f)
+        verdict = _verdict(f)
         cert_input = f
     elif backend is None or backend.mode == "rational":
         backend_desc = {"backend": "rational", "primes": []}
-        r = mdr(f)
-        profile = _profile(f)
+        verdict = _verdict(f)
         cert_input = f
     else:
         backend_desc = backend.describe()
-        r = backend.vote(mdr, f, what="mdr")
-        profile = backend.vote(_profile, f, what="Tjurina profile")
+        verdict = backend.vote(_verdict, f, what="classification")
         cert_input = f.map_field(backend.fields[0])
-    tau = profile.tau
+    r, tau = verdict.mdr, verdict.tau
 
-    certificate = None
-    slice_r = ar_slice(cert_input, r)
-    if slice_r.dimension > 0:
-        certificate = slice_r.basis[0]
-
-    if r == 0:
-        classification = "cone"
-        exponents = None
-    elif 2 * r <= d - 1 and tau == (d - 1) ** 2 - r * (d - 1 - r):
-        classification = "free"
-        exponents = (r, d - 1 - r)
-    elif 2 * r <= d and tau == (d - 1) ** 2 - r * (d - r - 1) - 1:
-        classification = "nearly-free"
-        exponents = (r, d - r)
-    else:
-        classification = "neither"
-        exponents = None
+    certificate = verdict.certificate
+    if certificate is None:
+        slice_r = ar_slice(cert_input, r)
+        if slice_r.dimension > 0:
+            certificate = slice_r.basis[0]
 
     bound, branch = dpw_bounds(d, r)
     if tau > bound:
@@ -210,8 +303,8 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
         d=d,
         mdr=r,
         tau=tau,
-        classification=classification,
-        exponents=exponents,
+        classification=verdict.classification,
+        exponents=verdict.exponents,
         certificate=certificate,
         bounds=bounds,
         backend=backend_desc["backend"],

@@ -1,0 +1,159 @@
+"""Saito-criterion fast path of ``classify``, tested against the Hilbert
+oracle it replaces for free curves, and its reducedness guard."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from jacsyz import tjurina
+from jacsyz.arrangements import LineArrangement, cone_construction
+from jacsyz.backend import make_backend
+from jacsyz.cli import main
+from jacsyz.fields import PrimeField, QQ
+from jacsyz.fixtures import fixture_names, get_fixture
+from jacsyz.poly import poly_parse
+from jacsyz.syzygy import graded_multiplication_matrix
+from jacsyz.tjurina import NonStabilizationError, classify
+
+_hilbert_profile = tjurina._profile
+
+A3 = "(x^2-y^2)*(y^2-z^2)*(x^2-z^2)"  # free, exponents (2, 3)
+
+
+def run_classify(f, backend=None, saito=True):
+    """classify(f), with the Saito path switched off if ``saito`` is false;
+    also returns the tau of every Hilbert profile it computed."""
+    taus = []
+
+    def profile(g):
+        prof = _hilbert_profile(g)
+        taus.append(prof.tau)
+        return prof
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tjurina, "_profile", profile)
+        if not saito:
+            mp.setattr(tjurina, "_saito_verdict", lambda g, r: None)
+        rep = classify(f, backend)
+    return rep, taus
+
+
+def assert_matches_hilbert_oracle(f, backend=None, fast=None):
+    """The fast report equals the Hilbert-path report byte for byte, and
+    every Hilbert profile of the oracle has the fast tau."""
+    if fast is None:
+        fast, fast_taus = run_classify(f, backend)
+        assert fast_taus == []  # decided by the Saito pair alone
+    slow, slow_taus = run_classify(f, backend, saito=False)
+    assert fast.classification == "free"
+    assert (json.dumps(fast.to_json(), sort_keys=True)
+            == json.dumps(slow.to_json(), sort_keys=True))
+    assert slow_taus and set(slow_taus) == {fast.tau}
+    return fast
+
+
+CURVE_FIXTURES = [name for name in fixture_names()
+                  if get_fixture(name).kind != "pencil"]
+
+
+@pytest.mark.parametrize("name", CURVE_FIXTURES)
+def test_free_fixtures_match_hilbert_oracle(name):
+    fx = get_fixture(name)
+    backend = make_backend(primes=1, seed=0) if fx.f.field == QQ else None
+    fast, fast_taus = run_classify(fx.f, backend)
+    if fast.classification != "free":
+        assert fx.expected["class"] != "free"
+        return
+    assert fast_taus == []
+    assert_matches_hilbert_oracle(fx.f, backend, fast)
+    assert fast.exponents == fx.expected["exponents"]
+
+
+def _random_cones(seed, count):
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        covs = {tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+                for _ in range(rng.randint(3, 4))}
+        covs.discard((0, 0, 0))
+        try:
+            A = LineArrangement(QQ, sorted(covs))
+        except ValueError:
+            continue
+        apex = tuple(Fraction(rng.randint(1, 7)) for _ in range(3))
+        if (A.d < 3 or len(A.lattice().points) < 2
+                or any(l.contains(apex) for l in A.lines)):
+            continue
+        B, sk = cone_construction(A, apex)
+        if B.d <= 10:
+            cones.append((B.f, sk))
+    return cones
+
+
+@pytest.fixture(scope="module")
+def cones():
+    return _random_cones(seed=2024, count=6)
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_random_cones_match_hilbert_oracle(cones, index):
+    f, sk = cones[index]
+    rep = assert_matches_hilbert_oracle(f, make_backend(primes=1, seed=index))
+    assert (rep.exponents, rep.tau) == (sk.expected_exponents, sk.expected_tau)
+
+
+def test_rational_backend_matches_hilbert_oracle():
+    rep = assert_matches_hilbert_oracle(poly_parse(A3), make_backend("rational"))
+    assert rep.certificate.field == QQ
+    assert (rep.exponents, rep.tau) == ((2, 3), 19)
+
+
+def test_large_prime_generic_path_matches_hilbert_oracle():
+    F = PrimeField(2**31 + 11)
+    f = poly_parse("x*y*z*(x+y)*(x-y)", F)
+    # p >= 2^31 leaves the int64 kernel for the generic ExactMatrix path
+    assert isinstance(graded_multiplication_matrix(list(f.gradient()), 1, 5),
+                      list)
+    rep = assert_matches_hilbert_oracle(f)
+    assert (rep.exponents, rep.tau) == ((1, 3), 13)
+
+
+def test_prime_at_most_degree_takes_hilbert_path():
+    f = poly_parse("x*(y^6 + x^5*z)", PrimeField(5))  # d = 7 >= p
+    # reduced with a witness, so only p <= d keeps it off the Saito path
+    assert tjurina._reducedness_witness(f)
+    fast, fast_taus = run_classify(f)
+    slow, _ = run_classify(f, saito=False)
+    assert fast_taus == [31]
+    assert fast.to_json() == slow.to_json()
+    assert (fast.classification, fast.exponents) == ("free", (1, 5))
+
+
+def test_non_reduced_input_is_never_free(capsys):
+    F = PrimeField(1000003)
+    f = poly_parse("x^2*y*z", F)
+    # the curve has a Saito pair in degrees 1 + 2 = 3: only the reducedness
+    # guard keeps it off the fast path
+    assert not tjurina._reducedness_witness(f)
+    with pytest.raises(NonStabilizationError):
+        classify(f)
+    code = main(["analyze", "x^2*y*z", "--field", "Fp:1000003"])
+    assert code == 2
+    assert "free" not in capsys.readouterr().out
+
+
+def test_reducedness_witness():
+    for text in ["x*y*z", A3, "y^2*z - x^3", "x^4 + y^4 + z^4"]:
+        assert tjurina._reducedness_witness(poly_parse(text))
+    for text in ["x^2*y*z", "(x+y+z)^2*(x-y)", "(x^2+y*z)^2"]:
+        assert not tjurina._reducedness_witness(poly_parse(text))
+
+
+def test_no_saito_pair_for_non_free_curves():
+    # nearly free with 2*mdr <= d-1: the criterion applies and finds no pair
+    for f in [poly_parse("y^2*z - x^3"), get_fixture("ex14ii:4").f]:
+        rep = classify(f)
+        assert rep.classification != "free"
+        assert tjurina._saito_verdict(f, rep.mdr) is None
