@@ -14,7 +14,7 @@ import numpy as np
 
 from .backend import Backend
 from .fields import Field, PrimeField, QQ
-from .linalg import ExactMatrix, nullspace_mod_np
+from .linalg import ExactMatrix, nullspace_mod_np, rank_mod_np
 from .poly import HomogPoly, homog_gcd, monomial_count, monomial_index, monomials, poly_parse
 
 __all__ = [
@@ -113,32 +113,23 @@ def graded_multiplication_matrix(polys, r: int, target: int):
 
     Columns are grouped by polynomial, graded-lex within each group; rows are
     the graded-lex monomials of S_target.  Returns a numpy int64 array over a
-    prime field, otherwise a list-of-lists over the exact field.
+    prime field with p < 2^31 (the int64 kernel's range), otherwise a
+    list-of-lists over the exact field.
     """
     field = polys[0].field
-    nrows = monomial_count(target)
-    ncols = len(polys) * monomial_count(r)
+    small = isinstance(field, PrimeField) and field.p < 2**31
+    A = np.full((monomial_count(target), len(polys) * monomial_count(r)),
+                field.zero(), dtype=np.int64 if small else object)
     ridx = monomial_index(target)
     mons = monomials(r)
-    if isinstance(field, PrimeField) and field.p < 2**31:
-        A = np.zeros((nrows, ncols), dtype=np.int64)
-        col = 0
-        for p in polys:
-            terms = list(p.coeffs.items())
-            for (mi, mj, mk) in mons:
-                for (ei, ej, ek), v in terms:
-                    A[ridx[(ei + mi, ej + mj, ek + mk)], col] = v
-                col += 1
-        return A
-    rows = [[field.zero()] * ncols for _ in range(nrows)]
     col = 0
     for p in polys:
         terms = list(p.coeffs.items())
         for (mi, mj, mk) in mons:
             for (ei, ej, ek), v in terms:
-                rows[ridx[(ei + mi, ej + mj, ek + mk)]][col] = v
+                A[ridx[(ei + mi, ej + mj, ek + mk)], col] = v
             col += 1
-    return rows
+    return A if small else A.tolist()
 
 
 def _slice_nullspace(f: HomogPoly, r: int):
@@ -148,8 +139,7 @@ def _slice_nullspace(f: HomogPoly, r: int):
     target = r + d - 1
     A = graded_multiplication_matrix(grads, r, target)
     if isinstance(A, np.ndarray):
-        vecs = nullspace_mod_np(A, field.p)
-        return [[int(x) for x in v] for v in vecs]
+        return [v.tolist() for v in nullspace_mod_np(A, field.p)]
     return ExactMatrix(field, A).nullspace()
 
 
@@ -189,7 +179,6 @@ def ar_dimension(f: HomogPoly, r: int) -> int:
     A = graded_multiplication_matrix(list(f.gradient()), r, r + f.degree - 1)
     ncols = 3 * monomial_count(r)
     if isinstance(A, np.ndarray):
-        from .linalg import rank_mod_np
         return ncols - rank_mod_np(A, field.p)
     return ncols - ExactMatrix(field, A).rank()
 

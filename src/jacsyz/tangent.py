@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .arrangements import _cross, _dot, _normalize
 from .fields import Field, PrimeField, random_primes
 from .poly import HomogPoly
 from .tjurina import InconsistencyError, classify
@@ -30,30 +31,6 @@ __all__ = [
 
 class TangentValidationError(ValueError):
     """A tangency hypothesis failed; the message names the violated one."""
-
-
-def _normalize(field, vec):
-    vec = tuple(field.coerce(v) for v in vec)
-    for v in vec:
-        if not field.is_zero(v):
-            inv = field.inv(v)
-            return tuple(field.mul(inv, w) for w in vec)
-    raise ValueError("zero vector")
-
-
-def _cross(field, a, b):
-    return (
-        field.sub(field.mul(a[1], b[2]), field.mul(a[2], b[1])),
-        field.sub(field.mul(a[2], b[0]), field.mul(a[0], b[2])),
-        field.sub(field.mul(a[0], b[1]), field.mul(a[1], b[0])),
-    )
-
-
-def _on_line(field, cov, pt):
-    acc = field.zero()
-    for a, b in zip(cov, pt):
-        acc = field.add(acc, field.mul(a, b))
-    return field.is_zero(acc)
 
 
 @dataclass
@@ -182,7 +159,7 @@ def tangent_arrangement(spec: TangentConeSpec, backend=None):
             f"expected m0 = e(e-1)-2delta-3kappa = {spec.m0} simple "
             f"tangents, got {len(spec.tangents)}")
     for cov in lines:
-        if not _on_line(F, cov, spec.apex):
+        if not F.is_zero(_dot(F, cov, spec.apex)):
             raise TangentValidationError("a line misses the apex")
     singular = set(spec.nodes) | set(spec.cusps)
     grad = spec.h.gradient()
@@ -208,7 +185,7 @@ def tangent_arrangement(spec: TangentConeSpec, backend=None):
     for cov in spec.cusp_secants:
         _check_secant(spec, cov, set(spec.cusps), "cusp")
     for q in singular:
-        if not any(_on_line(F, cov, q)
+        if not any(F.is_zero(_dot(F, cov, q))
                    for cov in spec.node_secants + spec.cusp_secants):
             raise TangentValidationError(
                 "a singular point has no secant line through it")
@@ -235,7 +212,7 @@ def tangent_arrangement(spec: TangentConeSpec, backend=None):
 
 def _check_secant(spec, cov, points, kind):
     F = spec.h.field
-    through = [q for q in points if _on_line(F, cov, q)]
+    through = [q for q in points if F.is_zero(_dot(F, cov, q))]
     if len(through) != 1:
         raise TangentValidationError(
             f"{kind} secant must pass through exactly one {kind}")
@@ -364,6 +341,6 @@ def _instance_at(h, nodes, cusps, apex, m0, rng):
     # double roots must be the node secants, triple roots the cusp secants
     for cov, pts in ((spec.node_secants, nodes), (spec.cusp_secants, cusps)):
         for c in cov:
-            if not any(_on_line(F, c, q) for q in pts):
+            if not any(F.is_zero(_dot(F, c, q)) for q in pts):
                 return None
     return spec

@@ -6,12 +6,14 @@ plane-curve form of Dimca-Sticlaru): with r = mdr(f) and 2r <= d-1, f is free
 with exponents (r, d-1-r) iff syzygies rho1, rho2 of degrees r and d-1-r have
 rho1 x rho2 = c * grad f with c != 0, and then tau = (d-1)^2 - r(d-1-r).  The
 criterion needs f reduced, so the path also needs a reducedness witness: a
-line on which f restricts to a squarefree binary form of full degree d.  It
-runs over Q and over GF(p) with p > d; both syzygies are re-verified exactly.
+line on which f restricts to a squarefree binary form of full degree d.  Both
+syzygies are re-verified exactly.  ``classify`` works over Q and over GF(p)
+with p > d; it refuses p <= d (for the field of f and for every field of a
+voting backend), where a partial derivative can vanish identically.
 
-Every other curve (cones, nearly free and neither curves, small p, no
-witness) gets tau from the Hilbert function of the Milnor algebra: the stable
-value of k -> dim (S / (f_x, f_y, f_z))_k is the global Tjurina number of a
+Every other curve (cones, nearly free and neither curves, no witness) gets
+tau from the Hilbert function of the Milnor algebra: the stable value of
+k -> dim (S / (f_x, f_y, f_z))_k is the global Tjurina number of a
 reduced curve; sampling starts at k = 3d-6 and a witness pair of equal
 consecutive values is required.
 """
@@ -225,9 +227,7 @@ def _saito_verdict(f: HomogPoly, r: int) -> _Verdict | None:
     criterion does not apply or finds no pair."""
     d = f.degree
     F = f.field
-    if not (r >= 1 and 2 * r <= d - 1
-            and (F == QQ or isinstance(F, PrimeField) and F.p > d)
-            and _reducedness_witness(f)):
+    if not (r >= 1 and 2 * r <= d - 1 and _reducedness_witness(f)):
         return None
     rho1 = ar_slice(f, r).basis[0]
     d2 = d - 1 - r
@@ -267,18 +267,24 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     d = f.degree
     if d < 1:
         raise ValueError("f must have positive degree")
-    if isinstance(f.field, PrimeField):
-        backend_desc = {"backend": "direct", "primes": [f.field.p]}
-        verdict = _verdict(f)
-        cert_input = f
-    elif backend is None or backend.mode == "rational":
-        backend_desc = {"backend": "rational", "primes": []}
-        verdict = _verdict(f)
-        cert_input = f
-    else:
+    voting = (not isinstance(f.field, PrimeField) and backend is not None
+              and backend.mode == "modular")
+    fields = backend.fields if voting else [f.field]
+    small = [F.p for F in fields if isinstance(F, PrimeField) and F.p <= d]
+    if small:
+        raise ValueError(
+            f"GF(p) with p <= d = {d} is not supported (p = {small}): "
+            "a partial derivative can vanish in characteristic p")
+    if voting:
         backend_desc = backend.describe()
         verdict = backend.vote(_verdict, f, what="classification")
         cert_input = f.map_field(backend.fields[0])
+    else:
+        backend_desc = ({"backend": "direct", "primes": [f.field.p]}
+                        if isinstance(f.field, PrimeField)
+                        else {"backend": "rational", "primes": []})
+        verdict = _verdict(f)
+        cert_input = f
     r, tau = verdict.mdr, verdict.tau
 
     certificate = verdict.certificate

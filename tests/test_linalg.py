@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacsyz.fields import PrimeField, QQ, random_primes
-from jacsyz.linalg import (ExactMatrix, nullspace_mod_np, rank_mod_np,
-                           rref_mod_np)
+from jacsyz.linalg import (ExactMatrix, _echelon_mod_np, nullspace_mod_np,
+                           rank_mod_np)
 
 P = random_primes(1, seed=11)[0]
+BIG = PrimeField(2**31 + 11)  # above the int64 kernel's range
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
@@ -80,10 +82,69 @@ def test_modular_nullspace(rows):
 @given(matrices)
 def test_rref_idempotent(rows):
     A = np.array(rows, dtype=np.int64) % P
-    R, piv = rref_mod_np(A, P)
-    R2, piv2 = rref_mod_np(R, P)
+    R, piv = _echelon_mod_np(A, P, reduced=True)
+    R2, piv2 = _echelon_mod_np(R, P, reduced=True)
     assert (R == R2).all() and piv == piv2
-    assert rank_mod_np(R, P) == len(piv)
+    assert (A == np.array(rows, dtype=np.int64) % P).all()  # input unchanged
+    # the echelon form finds the same pivots; its rows span the same space
+    E, piv3 = _echelon_mod_np(A, P, reduced=False)
+    assert piv3 == piv and rank_mod_np(R, P) == len(piv)
+    assert (_echelon_mod_np(E, P, reduced=True)[0] == R).all()
+
+
+def _low_rank_rows(rng, n, m, k, p):
+    """An n x m matrix over GF(p) of rank at most k, with full-size entries."""
+    B = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+    C = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+    return [[sum(B[i][t] * C[t][j] for t in range(k)) % p for j in range(m)]
+            for i in range(n)]
+
+
+def _assert_nullspaces_agree(rows, p):
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    M = ExactMatrix(PrimeField(p), rows)
+    assert [v.tolist() for v in nullspace_mod_np(A, p)] == M.nullspace()
+    assert rank_mod_np(A, p) == M.rank()
+
+
+@settings(max_examples=40)
+@given(matrices)
+def test_modular_nullspace_matches_generic(rows):
+    _assert_nullspaces_agree([[v % P for v in row] for row in rows], P)
+
+
+def test_modular_nullspace_matches_generic_low_rank():
+    rng = random.Random(7)
+    for _ in range(40):
+        n, m = rng.randint(1, 9), rng.randint(1, 9)
+        _assert_nullspaces_agree(
+            _low_rank_rows(rng, n, m, rng.randint(0, min(n, m)), P), P)
+
+
+def _det_oracle(F, rows):
+    """Cofactor expansion along the first row."""
+    if not rows:
+        return F.one()
+    acc = F.zero()
+    for j, a in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = F.mul(a, _det_oracle(F, minor))
+        acc = F.sub(acc, term) if j % 2 else F.add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P), BIG],
+                         ids=["Q", "Fp", "Fp_big"])
+def test_det_matches_cofactor_oracle(field):
+    rng = random.Random(5)
+    for _ in range(120):
+        n = rng.randint(0, 5)
+        # small entries make many matrices singular; a few rows repeat
+        rows = [[field.coerce(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                 for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = list(rows[0])
+        assert ExactMatrix(field, rows).det() == _det_oracle(field, rows)
 
 
 def test_det():

@@ -120,15 +120,32 @@ def test_large_prime_generic_path_matches_hilbert_oracle():
     assert (rep.exponents, rep.tau) == ((1, 3), 13)
 
 
-def test_prime_at_most_degree_takes_hilbert_path():
-    f = poly_parse("x*(y^6 + x^5*z)", PrimeField(5))  # d = 7 >= p
-    # reduced with a witness, so only p <= d keeps it off the Saito path
-    assert tjurina._reducedness_witness(f)
-    fast, fast_taus = run_classify(f)
-    slow, _ = run_classify(f, saito=False)
-    assert fast_taus == [31]
-    assert fast.to_json() == slow.to_json()
-    assert (fast.classification, fast.exponents) == ("free", (1, 5))
+NEARLY_FREE = "y^6 + x^5*z"  # over Q: nearly free, exponents (1, 5), tau 20
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_classify_refuses_prime_at_most_degree(p):
+    # d = 7 >= p; over GF(5), f_x of y^6 + x^5*z vanishes identically
+    f = poly_parse("x*(" + NEARLY_FREE + ")", PrimeField(p))
+    with pytest.raises(ValueError, match="p <= d"):
+        classify(f)
+
+
+def test_classify_refuses_small_prime_in_voting_backend():
+    f = poly_parse(NEARLY_FREE)
+    with pytest.raises(ValueError, match=r"p = \[5\]"):
+        classify(f, make_backend(primes=[5, 7, 11]))
+    rep = classify(f, make_backend(primes=[7, 11, 13]))  # all p > d = 6
+    assert (rep.classification, rep.exponents, rep.tau) == (
+        "nearly-free", (1, 5), 20)
+
+
+def test_cli_refuses_prime_at_most_degree(capsys):
+    assert main(["analyze", NEARLY_FREE, "--field", "Fp:5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "p <= d" in err
+    assert main(["analyze", NEARLY_FREE, "--field", "Fp:7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"] == 20
 
 
 def test_non_reduced_input_is_never_free(capsys):
