@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .arrangements import (LineArrangement, cone_construction,
+from .arrangements import (LineArrangement, _normalize, cone_construction,
                            multiplicity_bound_check, parse_arrangement_file,
                            tau_combinatorial, trichotomy)
 from .backend import BackendDisagreement, make_backend
@@ -166,7 +166,7 @@ def cmd_arrangement(args) -> int:
     if args.sub == "trichotomy":
         lat = A.lattice()
         if args.point:
-            target = _normalize_point(A, args.point)
+            target = _normalize(A.field, _point(args.point, A.field))
             p = lat.point_at(target)
             if p is None:
                 raise InputError(f"{args.point} is not a lattice point")
@@ -206,16 +206,6 @@ def cmd_arrangement(args) -> int:
         _emit(args, payload, [f"m(A) = {m} >= 2d/(r+2) = {rhs}: {ok}"])
         return 0 if ok else 2
     raise InputError(f"unknown arrangement subcommand {args.sub!r}")
-
-
-def _normalize_point(A, text):
-    pt = _point(text, A.field)
-    F = A.field
-    for v in pt:
-        if not F.is_zero(v):
-            inv = F.inv(v)
-            return tuple(F.mul(inv, w) for w in pt)
-    raise InputError("zero point")
 
 
 def cmd_pencil(args) -> int:

@@ -15,8 +15,8 @@ from .fields import Field, PrimeField, QQ, parse_field_tag, random_primes
 from .linalg import ExactMatrix
 from .poly import (HomogPoly, homog_gcd, is_reduced, monomial_index,
                    monomials, poly_parse)
-from .syzygy import SyzygyTriple, ar_dimension, is_primitive, mdr, verify_syzygy
-from .tjurina import InconsistencyError, _profile, classify
+from .syzygy import SyzygyTriple, is_cone, is_primitive, mdr, verify_syzygy
+from .tjurina import InconsistencyError, classify, global_tjurina
 from .uni import UniPoly, uni_interpolate, uni_squarefree
 
 __all__ = [
@@ -496,19 +496,6 @@ def base_locus_zero_dimensional(P: PencilSpec) -> bool:
     return homog_gcd(P.q1, P.q2).degree == 0
 
 
-def _z_slice(q: HomogPoly, x0) -> UniPoly:
-    """q(x0, 1, z) as a univariate polynomial in z."""
-    F = q.field
-    x0 = F.coerce(x0)
-    coeffs = [F.zero()] * (q.degree + 1)
-    for (a, b, c), v in q.coeffs.items():
-        term = v
-        for _ in range(a):
-            term = F.mul(term, x0)
-        coeffs[c] = F.add(coeffs[c], term)
-    return UniPoly(F, coeffs)
-
-
 def genericity_check(P: PencilSpec, seed: int = 0, retries: int = 6) -> bool:
     """True iff the two generators meet transversely in exactly k^2 points:
     constant gcd, and (after a random determinant-1 change) a squarefree
@@ -525,8 +512,9 @@ def genericity_check(P: PencilSpec, seed: int = 0, retries: int = 6) -> bool:
         pts = []
         ok = True
         for t in range(k * k + 1):
-            s1 = _z_slice(u1, t)
-            s2 = _z_slice(u2, t)
+            # u(t, 1, z) as a univariate polynomial in z
+            s1 = u1.restrict_to_line((t, 1, 0), (0, 0, 1))
+            s2 = u2.restrict_to_line((t, 1, 0), (0, 0, 1))
             if s1.degree != k or s2.degree != k:
                 ok = False
                 break
@@ -572,13 +560,13 @@ def _split_members(P: PencilSpec, disc: DiscriminantForm, seed: int = 0,
                     break
                 for t0 in roots:
                     member = q1p + q2p.scale(t0)
-                    tau = _profile(member).tau
-                    data.append((mu, tau, ar_dimension(member, 0) > 0))
+                    data.append((mu, global_tjurina(member).tau,
+                                 is_cone(member)))
             if not good:
                 continue
             if disc.inf_mult:
-                tau = _profile(q2p).tau
-                data.append((disc.inf_mult, tau, ar_dimension(q2p, 0) > 0))
+                data.append((disc.inf_mult, global_tjurina(q2p).tau,
+                             is_cone(q2p)))
             return data, p
         except (ZeroDivisionError, ValueError):
             continue

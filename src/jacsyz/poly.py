@@ -705,10 +705,24 @@ def _strip_z(p: HomogPoly, c: int) -> HomogPoly:
                      {(i, j, k - c): v for (i, j, k), v in p.coeffs.items()})
 
 
+# Lines (two points each) tried as reducedness witnesses; coordinates away
+# from the small integers that arrangements and apexes usually have.
+_WITNESS_LINES = (((2, 19, 37), (23, 5, 41)),
+                  ((29, 13, 3), (11, 31, 17)),
+                  ((43, 7, 19), (3, 47, 29)))
+
+
 def is_reduced(f: HomogPoly) -> bool:
-    """Squarefree test via gcds with the partial derivatives."""
+    """Squarefree test.  A witness line on which f restricts to a squarefree
+    binary form of full degree proves f reduced (a square factor g^2 would
+    restrict to a square factor of positive degree); only when none of the
+    witness lines does, the gcds with the partial derivatives decide."""
     if f.is_zero() or f.degree <= 0:
         return False
+    for pa, pb in _WITNESS_LINES:
+        u = f.restrict_to_line(pa, pb)
+        if u.degree == f.degree and u.gcd(u.derivative()).degree == 0:
+            return True
     g = None
     for i in range(3):
         fi = f.diff(i)

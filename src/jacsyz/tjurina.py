@@ -5,17 +5,21 @@ nearly free classification.
 plane-curve form of Dimca-Sticlaru): with r = mdr(f) and 2r <= d-1, f is free
 with exponents (r, d-1-r) iff syzygies rho1, rho2 of degrees r and d-1-r have
 rho1 x rho2 = c * grad f with c != 0, and then tau = (d-1)^2 - r(d-1-r).  The
-criterion needs f reduced, so the path also needs a reducedness witness: a
-line on which f restricts to a squarefree binary form of full degree d.  Both
-syzygies are re-verified exactly.  ``classify`` works over Q and over GF(p)
-with p > d; it refuses p <= d (for the field of f and for every field of a
-voting backend), where a partial derivative can vanish identically.
+criterion needs f reduced.  Both syzygies are re-verified exactly.
 
-Every other curve (cones, nearly free and neither curves, no witness) gets
-tau from the Hilbert function of the Milnor algebra: the stable value of
-k -> dim (S / (f_x, f_y, f_z))_k is the global Tjurina number of a
-reduced curve; sampling starts at k = 3d-6 and a witness pair of equal
-consecutive values is required.
+``classify`` and ``global_tjurina`` share one input gate, run before any
+linear algebra.  It refuses (ValueError, CLI exit 1) GF(p) with p <= d, for
+the field of f and for every field of a voting backend, where a partial
+derivative can vanish identically; and it refuses f unless ``is_reduced``
+proves it reduced, on f itself or on its image in the first voting field (a
+square factor g^2 of a rational curve stays a square factor of the same
+degree mod p, so a reduced image proves the rational curve reduced).
+
+Every other curve (cones, nearly free and neither curves) gets tau from the
+Hilbert function of the Milnor algebra M(f) = S / (f_x, f_y, f_z): for a
+reduced curve dim M(f)_k = tau for every k > 3(d-2) (Dimca, "Syzygies of
+Jacobian ideals and defects of linear systems", 2013), so tau is the one
+rank at k = 3d-5.  At k = 3d-6 a smooth curve still has its socle.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .backend import Backend, make_backend
 from .fields import PrimeField, QQ
 from .linalg import ExactMatrix, rank_mod_np
-from .poly import HomogPoly, monomial_count
+from .poly import HomogPoly, is_reduced, monomial_count
 from .syzygy import (SyzygyTriple, _slice_nullspace, _vector_to_triple,
                      ar_slice, graded_multiplication_matrix, mdr,
                      verify_syzygy)
@@ -37,7 +41,6 @@ __all__ = [
     "MilnorProfile",
     "FreenessReport",
     "InconsistencyError",
-    "NonStabilizationError",
     "milnor_hilbert",
     "global_tjurina",
     "dpw_bounds",
@@ -49,15 +52,6 @@ __all__ = [
 class InconsistencyError(ArithmeticError):
     """A mathematically impossible configuration: wrong inputs or a genuine
     theorem violation.  CLI exit code 2."""
-
-
-class NonStabilizationError(ArithmeticError):
-    """Hilbert samples refused to stabilize (signals non-reduced input)."""
-
-    def __init__(self, samples: dict):
-        self.samples = dict(samples)
-        super().__init__(
-            f"Milnor-algebra Hilbert values did not stabilize: {samples}")
 
 
 @dataclass(frozen=True)
@@ -114,27 +108,43 @@ def milnor_hilbert(f: HomogPoly, k: int) -> int:
 
 
 def _profile(f: HomogPoly) -> MilnorProfile:
+    """tau of a reduced curve: its Milnor algebra has dimension tau in every
+    degree k > 3(d-2)."""
     d = f.degree
-    start = max(3 * d - 6, 0)
-    stop = 3 * d - 3
-    samples: dict = {}
+    k = max(3 * d - 5, 0)
+    tau = milnor_hilbert(f, k)
+    return MilnorProfile(d, {k: tau}, tau, k)
 
-    def get(k):
-        if k not in samples:
-            samples[k] = milnor_hilbert(f, k)
-        return samples[k]
 
-    k = start
-    while k <= stop:
-        if get(k) == get(k + 1):
-            return MilnorProfile(d, dict(samples), samples[k], k)
-        k += 1
-    raise NonStabilizationError(samples)
+def _admit(f: HomogPoly, backend: Backend | None) -> bool:
+    """The input gate of ``classify`` and ``global_tjurina``: raise
+    ValueError unless f has positive degree, every field it is computed in
+    has p > d, and f is reduced.  Returns whether the computation votes over
+    the primes of ``backend``."""
+    d = f.degree
+    if d < 1:
+        raise ValueError("f must have positive degree")
+    voting = (f.field == QQ and backend is not None
+              and backend.mode == "modular")
+    fields = backend.fields if voting else [f.field]
+    small = [F.p for F in fields if isinstance(F, PrimeField) and F.p <= d]
+    if small:
+        raise ValueError(
+            f"GF(p) with p <= d = {d} is not supported (p = {small}): "
+            "a partial derivative can vanish in characteristic p")
+    # a square factor g^2 of a rational f stays a square factor of the same
+    # degree mod p, so a reduced image proves f reduced; f itself decides
+    # only when the first prime is bad
+    candidates = (f.map_field(fields[0]), f) if voting else (f,)
+    if not any(map(is_reduced, candidates)):
+        raise ValueError("f is not reduced: it has a repeated factor")
+    return voting
 
 
 def global_tjurina(f: HomogPoly, backend: Backend | None = None) -> MilnorProfile:
-    """Stabilized Hilbert value of the Milnor algebra; witness pair required."""
-    if f.field == QQ and backend is not None and backend.mode == "modular":
+    """Global Tjurina number of a reduced curve, read from the Hilbert
+    function of its Milnor algebra."""
+    if _admit(f, backend):
         return backend.vote(_profile, f, what="Tjurina profile")
     return _profile(f)
 
@@ -159,24 +169,6 @@ def thmF_gate(d: int, r0: int, tau: int) -> str:
             f"tau={tau} exceeds the bound {bound} for d={d}, r0={r0}: "
             "wrong tau or wrong mdr lower bound")
     return "attained" if tau == bound else "undershoot"
-
-
-# Lines (two points each) tried as reducedness witnesses; coordinates away
-# from the small integers that arrangements and apexes usually have.
-_WITNESS_LINES = (((2, 19, 37), (23, 5, 41)),
-                  ((29, 13, 3), (11, 31, 17)),
-                  ((43, 7, 19), (3, 47, 29)))
-
-
-def _reducedness_witness(f: HomogPoly) -> bool:
-    """True if f restricts to one of the witness lines as a squarefree binary
-    form of full degree d, which proves f reduced: a square factor g^2 of f
-    would restrict to a square factor of positive degree."""
-    for pa, pb in _WITNESS_LINES:
-        u = f.restrict_to_line(pa, pb)
-        if u.degree == f.degree and u.gcd(u.derivative()).degree == 0:
-            return True
-    return False
 
 
 def _product_coeff(p: HomogPoly, q: HomogPoly, exp) -> object:
@@ -224,10 +216,11 @@ class _Verdict:
 
 def _saito_verdict(f: HomogPoly, r: int) -> _Verdict | None:
     """Free verdict proved by a verified Saito pair, or None when the
-    criterion does not apply or finds no pair."""
+    criterion does not apply or finds no pair.  The criterion needs f
+    reduced, which ``_admit`` has proved."""
     d = f.degree
     F = f.field
-    if not (r >= 1 and 2 * r <= d - 1 and _reducedness_witness(f)):
+    if not (r >= 1 and 2 * r <= d - 1):
         return None
     rho1 = ar_slice(f, r).basis[0]
     d2 = d - 1 - r
@@ -242,7 +235,7 @@ def _saito_verdict(f: HomogPoly, r: int) -> _Verdict | None:
 
 
 def _hilbert_verdict(f: HomogPoly, r: int) -> _Verdict:
-    """Class from the stabilized Hilbert function; no certificate."""
+    """Class from the Hilbert-function tau; no certificate."""
     d = f.degree
     tau = _profile(f).tau
     if r == 0:
@@ -265,16 +258,7 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     cone with exponents and a syzygy certificate.  Free curves are proved by
     a verified Saito pair where it applies; the rest use the Hilbert path."""
     d = f.degree
-    if d < 1:
-        raise ValueError("f must have positive degree")
-    voting = (not isinstance(f.field, PrimeField) and backend is not None
-              and backend.mode == "modular")
-    fields = backend.fields if voting else [f.field]
-    small = [F.p for F in fields if isinstance(F, PrimeField) and F.p <= d]
-    if small:
-        raise ValueError(
-            f"GF(p) with p <= d = {d} is not supported (p = {small}): "
-            "a partial derivative can vanish in characteristic p")
+    voting = _admit(f, backend)
     if voting:
         backend_desc = backend.describe()
         verdict = backend.vote(_verdict, f, what="classification")

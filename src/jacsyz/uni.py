@@ -18,7 +18,7 @@ class UniPoly:
 
     def __init__(self, field: Field, coeffs):
         self.field = field
-        cs = [field.coerce(c) if not _is_scalar_of(field, c) else c for c in coeffs]
+        cs = [field.coerce(c) for c in coeffs]
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         self.coeffs = cs
@@ -97,7 +97,7 @@ class UniPoly:
 
     def scale(self, c):
         F = self.field
-        c = F.coerce(c) if not _is_scalar_of(F, c) else c
+        c = F.coerce(c)
         return UniPoly(F, [F.mul(c, a) for a in self.coeffs])
 
     def shift(self, k):
@@ -147,7 +147,7 @@ class UniPoly:
 
     def __call__(self, x):
         F = self.field
-        x = F.coerce(x) if not _is_scalar_of(F, x) else x
+        x = F.coerce(x)
         acc = F.zero()
         for c in reversed(self.coeffs):
             acc = F.add(F.mul(acc, x), c)
@@ -247,11 +247,6 @@ class UniPoly:
         split(lin)
         roots.sort()
         return roots
-
-
-def _is_scalar_of(field, c):
-    # ints double as GF(p) residues and as integers headed for Q; always coerce
-    return False
 
 
 def _pow_scalar(F, a, e):

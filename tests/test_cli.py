@@ -56,6 +56,12 @@ def test_arrangement_trichotomy_bad_point(capsys):
     assert code == 1 and "not a lattice point" in err
 
 
+def test_arrangement_trichotomy_zero_point(capsys):
+    code, out, err = run(capsys, "arrangement", "trichotomy", "ex1",
+                         "--point", "0,0,0")
+    assert code == 1 and out == "" and "zero vector" in err
+
+
 def test_arrangement_cone(capsys):
     code, out, _ = run(capsys, "arrangement", "cone", "triangle",
                        "--apex", "1,1,1", "--json")

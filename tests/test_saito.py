@@ -1,5 +1,6 @@
 """Saito-criterion fast path of ``classify``, tested against the Hilbert
-oracle it replaces for free curves, and its reducedness guard."""
+oracle it replaces for free curves, and the reducedness gate in front of
+both."""
 
 import json
 import random
@@ -7,15 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from jacsyz import tjurina
+from jacsyz import poly, tjurina
 from jacsyz.arrangements import LineArrangement, cone_construction
 from jacsyz.backend import make_backend
 from jacsyz.cli import main
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
-from jacsyz.poly import poly_parse
+from jacsyz.poly import homog_gcd, is_reduced, poly_parse
 from jacsyz.syzygy import graded_multiplication_matrix
-from jacsyz.tjurina import NonStabilizationError, classify
+from jacsyz.tjurina import classify, global_tjurina
 
 _hilbert_profile = tjurina._profile
 
@@ -148,24 +149,81 @@ def test_cli_refuses_prime_at_most_degree(capsys):
     assert json.loads(capsys.readouterr().out)["tau"] == 20
 
 
+def _no_linear_algebra(*args, **kwargs):
+    raise AssertionError("linear algebra ran on non-reduced input")
+
+
 def test_non_reduced_input_is_never_free(capsys):
     F = PrimeField(1000003)
     f = poly_parse("x^2*y*z", F)
     # the curve has a Saito pair in degrees 1 + 2 = 3: only the reducedness
-    # guard keeps it off the fast path
-    assert not tjurina._reducedness_witness(f)
-    with pytest.raises(NonStabilizationError):
-        classify(f)
-    code = main(["analyze", "x^2*y*z", "--field", "Fp:1000003"])
-    assert code == 2
-    assert "free" not in capsys.readouterr().out
+    # gate keeps it off the fast path, and it runs before any rank
+    assert not is_reduced(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tjurina, "mdr", _no_linear_algebra)
+        mp.setattr(tjurina, "milnor_hilbert", _no_linear_algebra)
+        with pytest.raises(ValueError, match="not reduced"):
+            classify(f)
+        with pytest.raises(ValueError, match="not reduced"):
+            global_tjurina(f)
+        with pytest.raises(ValueError, match="not reduced"):
+            global_tjurina(poly_parse("x^2*y*z"), make_backend(seed=0))
+        code = main(["analyze", "x^2*y*z", "--field", "Fp:1000003"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "not reduced" in err
+
+
+def test_non_reduced_rational_input_exits_1(capsys):
+    assert main(["analyze", "x^2*y*z*(x+y+z)"]) == 1
+    assert "not reduced" in capsys.readouterr().err
+
+
+def test_bad_first_prime_does_not_refuse_a_reduced_curve():
+    # x*y*(x + p*y)*z is reduced over Q but x^2*y*z mod p: the gate falls
+    # back to Q instead of refusing; here every prime votes the same
+    f = poly_parse("x*y*(x + 1000003*y)*z")
+    assert not is_reduced(f.map_field(PrimeField(1000003)))
+    rep = classify(f, make_backend(primes=[1000003, 1000033]))
+    assert (rep.classification, rep.tau) == ("free", 7)  # triple point, 3 nodes
+
+
+def _witness_line_forms():
+    """The linear forms of the three witness lines of ``is_reduced``."""
+    forms = []
+    for a, b in poly._WITNESS_LINES:
+        c = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0])
+        forms.append(poly_parse(f"({c[0]})*x + ({c[1]})*y + ({c[2]})*z"))
+    return forms
+
+
+def test_gcd_fallback_decides_curves_through_every_witness_line():
+    l1, l2, l3 = _witness_line_forms()
+    gcd_calls = []
+
+    def counting_gcd(p, q):
+        gcd_calls.append(1)
+        return homog_gcd(p, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "homog_gcd", counting_gcd)
+        assert is_reduced(poly_parse("x*y*z"))
+        assert gcd_calls == []  # a witness line decides
+        assert is_reduced(l1 * l2 * l3 * poly_parse("x^2 + y*z"))
+        assert gcd_calls
+        assert not is_reduced(l1 * l1 * l2 * l3)
+    # the gate admits it through the fallback over a voting prime too
+    f = l1 * l2 * l3 * poly_parse("x*y")
+    assert classify(f, make_backend(primes=1, seed=0)).tau == (
+        global_tjurina(f).tau)
 
 
 def test_reducedness_witness():
     for text in ["x*y*z", A3, "y^2*z - x^3", "x^4 + y^4 + z^4"]:
-        assert tjurina._reducedness_witness(poly_parse(text))
-    for text in ["x^2*y*z", "(x+y+z)^2*(x-y)", "(x^2+y*z)^2"]:
-        assert not tjurina._reducedness_witness(poly_parse(text))
+        assert is_reduced(poly_parse(text))
+    for text in ["x^2*y*z", "(x+y+z)^2*(x-y)", "(x^2+y*z)^2", "1", "0"]:
+        assert not is_reduced(poly_parse(text))
 
 
 def test_no_saito_pair_for_non_free_curves():
