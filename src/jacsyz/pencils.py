@@ -16,7 +16,8 @@ from .linalg import ExactMatrix
 from .poly import (HomogPoly, homog_gcd, is_reduced, monomial_index,
                    monomials, poly_parse)
 from .syzygy import SyzygyTriple, is_cone, is_primitive, mdr, verify_syzygy
-from .tjurina import InconsistencyError, classify, global_tjurina
+from .tjurina import (InconsistencyError, NotReducedError, classify,
+                      global_tjurina)
 from .uni import UniPoly, uni_interpolate, uni_squarefree
 
 __all__ = [
@@ -542,34 +543,35 @@ def _split_members(P: PencilSpec, disc: DiscriminantForm, seed: int = 0,
     if P.field != QQ:
         raise ValueError("splitting scan starts from a rational pencil")
     primes = random_primes(attempts, seed=seed)
+    split = not_reduced = 0  # attempts that split the roots / failed the gate
     for p in primes:
         Fp = PrimeField(p)
         try:
             q1p = P.q1.map_field(Fp)
             q2p = P.q2.map_field(Fp)
-            data = []
-            good = True
+            members = []
             for g, mu in disc.factors:
                 gp = UniPoly(Fp, [Fp.coerce(c) for c in g.coeffs])
                 if gp.degree != g.degree:
-                    good = False
                     break
                 roots = gp.roots_gfp(random.Random(seed ^ p))
                 if len(roots) != gp.degree:
-                    good = False
                     break
-                for t0 in roots:
-                    member = q1p + q2p.scale(t0)
-                    data.append((mu, global_tjurina(member).tau,
-                                 is_cone(member)))
-            if not good:
-                continue
-            if disc.inf_mult:
-                data.append((disc.inf_mult, global_tjurina(q2p).tau,
-                             is_cone(q2p)))
-            return data, p
+                members += [(mu, q1p + q2p.scale(t0)) for t0 in roots]
+            else:
+                if disc.inf_mult:
+                    members.append((disc.inf_mult, q2p))
+                split += 1
+                return [(mu, global_tjurina(m).tau, is_cone(m))
+                        for mu, m in members], p
+        except NotReducedError:
+            not_reduced += 1
         except (ZeroDivisionError, ValueError):
             continue
+    if split and not_reduced == split:
+        raise NotReducedError(
+            "a singular member of the pencil is not reduced in each of the "
+            f"{split} splitting fields tried")
     raise SplittingFieldError(
         "no prime split the discriminant roots; raise the attempt budget")
 

@@ -13,7 +13,9 @@ the field of f and for every field of a voting backend, where a partial
 derivative can vanish identically; and it refuses f unless ``is_reduced``
 proves it reduced, on f itself or on its image in the first voting field (a
 square factor g^2 of a rational curve stays a square factor of the same
-degree mod p, so a reduced image proves the rational curve reduced).
+degree mod p, so a reduced image proves the rational curve reduced).  A
+non-reduced image is refused even when f over Q is reduced and the prime is
+bad for it: the vote would compute in that image.
 
 Every other curve (cones, nearly free and neither curves) gets tau from the
 Hilbert function of the Milnor algebra M(f) = S / (f_x, f_y, f_z): for a
@@ -41,6 +43,7 @@ __all__ = [
     "MilnorProfile",
     "FreenessReport",
     "InconsistencyError",
+    "NotReducedError",
     "milnor_hilbert",
     "global_tjurina",
     "dpw_bounds",
@@ -52,6 +55,10 @@ __all__ = [
 class InconsistencyError(ArithmeticError):
     """A mathematically impossible configuration: wrong inputs or a genuine
     theorem violation.  CLI exit code 2."""
+
+
+class NotReducedError(ValueError):
+    """The input gate could not prove f reduced.  CLI exit code 1."""
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,9 @@ def _profile(f: HomogPoly) -> MilnorProfile:
 
 def _admit(f: HomogPoly, backend: Backend | None) -> bool:
     """The input gate of ``classify`` and ``global_tjurina``: raise
-    ValueError unless f has positive degree, every field it is computed in
-    has p > d, and f is reduced.  Returns whether the computation votes over
+    ValueError unless f has positive degree and every field it is computed
+    in has p > d, and NotReducedError unless f, or its image in the first
+    voting field, is reduced.  Returns whether the computation votes over
     the primes of ``backend``."""
     d = f.degree
     if d < 1:
@@ -133,11 +141,14 @@ def _admit(f: HomogPoly, backend: Backend | None) -> bool:
             f"GF(p) with p <= d = {d} is not supported (p = {small}): "
             "a partial derivative can vanish in characteristic p")
     # a square factor g^2 of a rational f stays a square factor of the same
-    # degree mod p, so a reduced image proves f reduced; f itself decides
-    # only when the first prime is bad
-    candidates = (f.map_field(fields[0]), f) if voting else (f,)
-    if not any(map(is_reduced, candidates)):
-        raise ValueError("f is not reduced: it has a repeated factor")
+    # degree mod p, so a reduced image proves f reduced
+    if not is_reduced(f.map_field(fields[0]) if voting else f):
+        if voting:
+            p = fields[0].p
+            raise NotReducedError(
+                f"f is not reduced mod {p}: it has a repeated factor, "
+                f"or {p} is a bad prime for it")
+        raise NotReducedError("f is not reduced: it has a repeated factor")
     return voting
 
 

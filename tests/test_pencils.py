@@ -5,14 +5,15 @@ import pytest
 
 from jacsyz.fields import QQ
 from jacsyz.fixtures import get_fixture
-from jacsyz.pencils import (PencilProductSpec, PencilSpec, build_member,
-                            build_product, discriminant, genericity_check,
-                            lemma2_syzygy, macaulay_resultant,
-                            thm11_trichotomy, thm13_trichotomy,
-                            thmPEN_classify, total_mu_check, wedge_syzygy)
+from jacsyz.pencils import (PencilProductSpec, PencilSpec, _split_members,
+                            build_member, build_product, discriminant,
+                            genericity_check, lemma2_syzygy,
+                            macaulay_resultant, thm11_trichotomy,
+                            thm13_trichotomy, thmPEN_classify,
+                            total_mu_check, wedge_syzygy)
 from jacsyz.poly import poly_parse
 from jacsyz.syzygy import is_primitive, mdr, verify_syzygy
-from jacsyz.tjurina import InconsistencyError
+from jacsyz.tjurina import InconsistencyError, NotReducedError
 
 
 def _fermat(k):
@@ -119,6 +120,14 @@ def test_genericity():
     assert genericity_check(_hesse())
     degenerate = PencilSpec(poly_parse("x^2"), poly_parse("y^2"))
     assert not genericity_check(degenerate)
+
+
+def test_split_members_refuses_a_non_reduced_member():
+    # the member x^2 has a repeated factor in every splitting field: that is
+    # reported as such, not as a too small attempt budget
+    P = PencilSpec(poly_parse("x^2"), poly_parse("y^2 + z^2 + x*y"))
+    with pytest.raises(NotReducedError, match="member of the pencil is not"):
+        _split_members(P, discriminant(P), attempts=5)
 
 
 def test_total_mu_check():

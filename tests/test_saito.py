@@ -10,13 +10,13 @@ import pytest
 
 from jacsyz import poly, tjurina
 from jacsyz.arrangements import LineArrangement, cone_construction
-from jacsyz.backend import make_backend
+from jacsyz.backend import BackendDisagreement, make_backend
 from jacsyz.cli import main
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.poly import homog_gcd, is_reduced, poly_parse
 from jacsyz.syzygy import graded_multiplication_matrix
-from jacsyz.tjurina import classify, global_tjurina
+from jacsyz.tjurina import NotReducedError, classify, global_tjurina
 
 _hilbert_profile = tjurina._profile
 
@@ -179,13 +179,24 @@ def test_non_reduced_rational_input_exits_1(capsys):
     assert "not reduced" in capsys.readouterr().err
 
 
-def test_bad_first_prime_does_not_refuse_a_reduced_curve():
-    # x*y*(x + p*y)*z is reduced over Q but x^2*y*z mod p: the gate falls
-    # back to Q instead of refusing; here every prime votes the same
-    f = poly_parse("x*y*(x + 1000003*y)*z")
-    assert not is_reduced(f.map_field(PrimeField(1000003)))
-    rep = classify(f, make_backend(primes=[1000003, 1000033]))
-    assert (rep.classification, rep.tau) == ("free", 7)  # triple point, 3 nodes
+def test_bad_first_prime_is_refused_not_voted():
+    # f is reduced over Q, but its image mod p is x^2*y*z, which votes free
+    # (1, 2) with tau 7 inside the phi1 bound: a vote in that image would
+    # report a free curve, so the gate refuses it and names the prime
+    p, q = 1000003, 1000033
+    f = poly_parse(f"x^2*y*z + {p}*(x^4 + y^4 + z^4)")
+    image = f.map_field(PrimeField(p))
+    assert is_reduced(f) and not is_reduced(image)
+    assert tjurina._verdict(image) == tjurina._Verdict(1, 7, "free", (1, 2))
+    for primes in ([p], [p, q]):
+        with pytest.raises(NotReducedError, match=f"or {p} is a bad prime"):
+            classify(f, make_backend(primes=primes))
+        with pytest.raises(NotReducedError, match=f"or {p} is a bad prime"):
+            global_tjurina(f, make_backend(primes=primes))
+    # a bad later prime is outvoted loudly by the first, reduced, image
+    with pytest.raises(BackendDisagreement):
+        classify(f, make_backend(primes=[q, p]))
+    assert classify(f, make_backend(primes=[q])).classification == "neither"
 
 
 def _witness_line_forms():
