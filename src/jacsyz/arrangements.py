@@ -223,8 +223,7 @@ def point_syzygy(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
         for jdx, cov2 in enumerate(transformed):
             if jdx != idx:
                 partial = partial * HomogPoly.linear(F, cov2)
-        term = partial.scale(a_L)
-        P = term if P.is_zero() else P + term
+        P = P + partial.scale(a_L)
     x = HomogPoly.variable(F, 0)
     y = HomogPoly.variable(F, 1)
     z = HomogPoly.variable(F, 2)
@@ -239,9 +238,7 @@ def point_syzygy(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
     for r in range(3):
         acc = HomogPoly.zero(F)
         for cc, q in enumerate((pa, pb, pc)):
-            t = q.scale(B[r][cc])
-            if not t.is_zero():
-                acc = t if acc.is_zero() else acc + t
+            acc = acc + q.scale(B[r][cc])
         comps.append(acc)
     triple = SyzygyTriple(comps[0], comps[1], comps[2], d)
     if not verify_syzygy(A.f, triple):
@@ -390,22 +387,25 @@ def cone_construction(A: LineArrangement, apex):
     return B, skeleton
 
 
-def lattice_isomorphic(A: LineArrangement, B: LineArrangement,
-                       max_lines: int = 20) -> bool:
+LATTICE_ISOMORPHISM_MAX_LINES = 20
+
+
+def lattice_isomorphic(A: LineArrangement, B: LineArrangement) -> bool:
     """Exact backtracking test for an incidence-preserving bijection of lines;
-    refuses (rather than approximates) beyond ``max_lines`` lines."""
+    refuses (rather than approximates) beyond
+    ``LATTICE_ISOMORPHISM_MAX_LINES`` lines."""
     if A.d != B.d:
         return False
-    if A.d > max_lines or B.d > max_lines:
-        raise ValueError(f"lattice isomorphism limited to {max_lines} lines")
+    limit = LATTICE_ISOMORPHISM_MAX_LINES
+    if A.d > limit or B.d > limit:
+        raise ValueError(f"lattice isomorphism limited to {limit} lines")
     latA, latB = A.lattice(), B.lattice()
     profA = sorted(p.multiplicity for p in latA.points)
     profB = sorted(p.multiplicity for p in latB.points)
     if profA != profB:
         return False
-    # per-line signature: multiset of multiplicities of its points
-    ptsA = {p.point: p for p in latA.points}
 
+    # per-line signature: multiset of multiplicities of its points
     def signatures(lat, d):
         sig = [[] for _ in range(d)]
         for p in lat.points:
@@ -417,19 +417,13 @@ def lattice_isomorphic(A: LineArrangement, B: LineArrangement,
     sigB = signatures(latB, B.d)
     if sorted(sigA) != sorted(sigB):
         return False
+
     # point lookup by line pair
-    pairA: dict = {}
-    for p in latA.points:
-        for i in p.lines:
-            for j in p.lines:
-                if i < j:
-                    pairA[(i, j)] = p.point
-    pairB: dict = {}
-    for p in latB.points:
-        for i in p.lines:
-            for j in p.lines:
-                if i < j:
-                    pairB[(i, j)] = p.point
+    def pairs(lat):
+        return {(i, j): p.point for p in lat.points
+                for i in p.lines for j in p.lines if i < j}
+
+    pairA, pairB = pairs(latA), pairs(latB)
     multA = {p.point: p.multiplicity for p in latA.points}
     multB = {p.point: p.multiplicity for p in latB.points}
 
@@ -437,7 +431,7 @@ def lattice_isomorphic(A: LineArrangement, B: LineArrangement,
     mapping = [None] * d
     used = [False] * d
 
-    def consistent(i, target):
+    def consistent():
         # check all pairs with already-assigned lines
         pt_map = {}
         for a in range(d):
@@ -469,7 +463,7 @@ def lattice_isomorphic(A: LineArrangement, B: LineArrangement,
                 continue
             mapping[i] = j
             used[j] = True
-            if consistent(i, j) and backtrack(i + 1):
+            if consistent() and backtrack(i + 1):
                 return True
             mapping[i] = None
             used[j] = False

@@ -1,18 +1,22 @@
-"""Computation backends for rational inputs.
+"""Computation backends, and the one field policy for computations on f.
 
-The default path reduces a rational input modulo three independent random
-primes > 2^30, runs each computation in every GF(p), and cross-checks the
-results; any disagreement aborts with a diagnostic.  A rational exact mode is
-available for small degrees.
+``compute`` decides where a computation on a curve f runs.  A rational f
+under the modular backend runs in every GF(p) of three independent random
+primes > 2^30 and the results are cross-checked; any disagreement aborts
+with a diagnostic.  Everything else runs in f's own field: f without a
+backend, f under the rational (exact) backend, and a curve over GF(p).  No
+computation runs in GF(p) with p <= deg f, where a partial derivative can
+vanish identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field, PrimeField, QQ, random_primes
+from .fields import PrimeField, QQ, random_primes
 
-__all__ = ["Backend", "BackendDisagreement", "make_backend"]
+__all__ = ["Backend", "BackendDisagreement", "make_backend", "fields_for",
+           "compute", "describe"]
 
 DEFAULT_PRIME_COUNT = 3
 
@@ -36,23 +40,51 @@ class Backend:
         else:
             raise ValueError(f"unknown backend mode {self.mode!r}")
 
-    def reduce(self, f):
-        """Images of a rational polynomial in every backend field."""
-        return [f.map_field(F) for F in self.fields]
-
     def vote(self, fn, f, what="value"):
-        """Apply ``fn`` to each reduction of ``f``; all answers must agree."""
-        answers = [fn(fp) for fp in self.reduce(f)]
+        """Apply ``fn`` to f in every field ``fields_for`` picks under this
+        backend; all answers must agree."""
+        fields = fields_for(f, self)
+        answers = [fn(f.map_field(F)) for F in fields]
         first = answers[0]
-        for F, a in zip(self.fields, answers[1:]):
+        for a in answers[1:]:
             if a != first:
                 raise BackendDisagreement(
                     f"backend disagreement on {what}: "
-                    f"{list(zip([F.tag for F in self.fields], answers))}")
+                    f"{list(zip([F.tag for F in fields], answers))}")
         return first
 
-    def describe(self):
-        return {"backend": self.mode, "primes": list(self.primes)}
+
+def fields_for(f, backend: Backend | None = None) -> list:
+    """The fields a computation on f runs in: the backend's fields for a
+    rational f, f's own field otherwise.  Raises ValueError if one of them
+    is GF(p) with p <= deg f."""
+    rational = backend is not None and f.field == QQ
+    fields = backend.fields if rational else [f.field]
+    d = f.degree
+    small = [F.p for F in fields if isinstance(F, PrimeField) and F.p <= d]
+    if small:
+        raise ValueError(
+            f"GF(p) with p <= d = {d} is not supported (p = {small}): "
+            "a partial derivative can vanish in characteristic p")
+    return fields
+
+
+def compute(fn, f, backend: Backend | None = None, what="value"):
+    """``fn(f)`` in the fields of ``fields_for``: directly when that is f's
+    own field, else voted over the backend's primes."""
+    if fields_for(f, backend) == [f.field]:
+        return fn(f)
+    return backend.vote(fn, f, what)
+
+
+def describe(f, backend: Backend | None = None) -> dict:
+    """Where a computation on f runs, as reported: "modular" with the voting
+    primes, "direct" in f's own GF(p), or "rational"."""
+    if fields_for(f, backend) != [f.field]:
+        return {"backend": "modular", "primes": list(backend.primes)}
+    if isinstance(f.field, PrimeField):
+        return {"backend": "direct", "primes": [f.field.p]}
+    return {"backend": "rational", "primes": []}
 
 
 def make_backend(mode: str = "modular",

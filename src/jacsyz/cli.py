@@ -16,7 +16,7 @@ from .arrangements import (LineArrangement, _normalize, cone_construction,
                            multiplicity_bound_check, parse_arrangement_file,
                            tau_combinatorial, trichotomy)
 from .backend import BackendDisagreement, make_backend
-from .fields import QQ, parse_field_tag
+from .fields import parse_field_tag
 from .fixtures import fixture_names, get_fixture
 from .pencils import (PencilProductSpec, build_product, discriminant,
                       thmPEN_classify, wedge_syzygy)
@@ -41,8 +41,6 @@ def _emit(args, payload, text_lines):
 
 
 def _backend(args):
-    if args.field != "Q":
-        return None  # prime-field inputs classify directly
     return make_backend(primes=args.primes, seed=args.seed)
 
 
@@ -143,7 +141,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_arrangement(args) -> int:
     A = _resolve_arrangement(args)
-    backend = _backend(args) if A.field == QQ else None
+    backend = _backend(args)
     if args.sub == "lattice":
         lat = A.lattice()
         payload = {

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .arrangements import LineArrangement
 from .fields import Field, PrimeField, QQ, random_primes
-from .pencils import (PencilProductSpec, PencilSpec, build_product,
-                      group_product)
+from .pencils import PencilProductSpec, PencilSpec, build_product
 from .poly import HomogPoly, poly_parse
 from .uni import UniPoly
 

@@ -7,15 +7,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .backend import Backend, make_backend
 from .fields import Field, PrimeField, QQ, parse_field_tag, random_primes
 from .linalg import ExactMatrix
 from .poly import (HomogPoly, homog_gcd, is_reduced, monomial_index,
                    monomials, poly_parse)
-from .syzygy import SyzygyTriple, is_cone, is_primitive, mdr, verify_syzygy
+from .syzygy import SyzygyTriple, is_cone, mdr, verify_syzygy
 from .tjurina import (InconsistencyError, NotReducedError, classify,
                       global_tjurina)
 from .uni import UniPoly, uni_interpolate, uni_squarefree
@@ -196,8 +195,7 @@ def group_product(P: PencilSpec, g: UniPoly) -> HomogPoly:
         # coefficient of q1^i q2^(s-i) in prod (q1 + t_j q2)
         if F.is_zero(c):
             continue
-        term = ((P.q1 ** i) * (P.q2 ** (s - i))).scale(c)
-        acc = term if acc.is_zero() else acc + term
+        acc = acc + ((P.q1 ** i) * (P.q2 ** (s - i))).scale(c)
     return acc
 
 
@@ -264,11 +262,7 @@ def lemma2_syzygy(P: PencilSpec, h: HomogPoly, m: int,
         t1 = (h * w12[i]).scale(F.coerce(-m))
         t2 = (P.q2 * w1h[i]).scale(F.coerce(-1))
         t3 = P.q1 * w2h[i]
-        acc = HomogPoly.zero(F)
-        for t in (t1, t2, t3):
-            if not t.is_zero():
-                acc = t if acc.is_zero() else acc + t
-        comps.append(acc)
+        comps.append(t1 + t2 + t3)
     triple = SyzygyTriple(comps[0], comps[1], comps[2], f.degree)
     if triple.is_zero():
         raise ArithmeticError("three-term syzygy vanished")
@@ -292,8 +286,11 @@ def _unimodular(rng: random.Random):
     return U
 
 
-def macaulay_resultant(p1: HomogPoly, p2: HomogPoly, p3: HomogPoly,
-                       retries: int = 8, seed: int = 0):
+MACAULAY_RETRIES = 8  # coordinate changes after a vanishing minor
+GENERICITY_RETRIES = 6  # coordinate changes tried by genericity_check
+
+
+def macaulay_resultant(p1: HomogPoly, p2: HomogPoly, p3: HomogPoly):
     """Classical Macaulay resultant of three ternary forms: zero iff they
     share a projective zero over the algebraic closure.
 
@@ -309,8 +306,8 @@ def macaulay_resultant(p1: HomogPoly, p2: HomogPoly, p3: HomogPoly,
     if any(p.degree == 0 for p in polys):
         # a nonzero constant never vanishes
         return F.one()
-    rng = random.Random(seed)
-    for attempt in range(retries + 1):
+    rng = random.Random(0)  # the resultant is the same after any change
+    for attempt in range(MACAULAY_RETRIES + 1):
         if attempt == 0:
             cur = polys
         else:
@@ -497,7 +494,7 @@ def base_locus_zero_dimensional(P: PencilSpec) -> bool:
     return homog_gcd(P.q1, P.q2).degree == 0
 
 
-def genericity_check(P: PencilSpec, seed: int = 0, retries: int = 6) -> bool:
+def genericity_check(P: PencilSpec, seed: int = 0) -> bool:
     """True iff the two generators meet transversely in exactly k^2 points:
     constant gcd, and (after a random determinant-1 change) a squarefree
     degree-k^2 resultant in one variable."""
@@ -506,7 +503,7 @@ def genericity_check(P: PencilSpec, seed: int = 0, retries: int = 6) -> bool:
     F = P.field
     k = P.k
     rng = random.Random(seed)
-    for attempt in range(retries):
+    for attempt in range(GENERICITY_RETRIES):
         U = _unimodular(rng) if attempt else [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         u1 = P.q1.substitute(U)
         u2 = P.q2.substitute(U)
@@ -653,8 +650,7 @@ def thmPEN_classify(spec: PencilProductSpec, backend: Backend | None = None,
         raise ValueError("need m >= 3 members of degree k >= 2")
     if not genericity_check(P, seed=seed):
         raise ValueError("pencil is not generic (transversality failed)")
-    if backend is None and P.field == QQ:
-        backend = make_backend(seed=seed)
+    backend = backend or make_backend(seed=seed)
     disc = discriminant(P)
     # (a) every discriminant root is a chosen member
     chosen = spec.chosen_parameter_poly()
@@ -721,8 +717,7 @@ def thm11_trichotomy(spec: PencilProductSpec,
         raise ValueError("need m >= 3 members of degree k >= 2")
     if not base_locus_zero_dimensional(P):
         raise ValueError("pencil base locus is not 0-dimensional")
-    if backend is None and P.field == QQ:
-        backend = make_backend()
+    backend = backend or make_backend(seed=0)
     f = build_product(spec)
     r = mdr(f, backend)
     if r == 2 * k - 2:
@@ -756,8 +751,7 @@ def thm13_trichotomy(spec: PencilProductSpec,
         raise ValueError("thm13 needs a residual factor h")
     if m < 2:
         raise ValueError("need m >= 2 pencil members")
-    if backend is None and P.field == QQ:
-        backend = make_backend()
+    backend = backend or make_backend(seed=0)
     f = build_product(spec)  # checks (q1, q2, h) share no zero
     d = f.degree
     top = d - (m - 2) * k - 2

@@ -122,9 +122,6 @@ class HomogPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return self.degree <= 0
-
     def __eq__(self, other):
         return (isinstance(other, HomogPoly) and self.field == other.field
                 and self.degree == other.degree and self.coeffs == other.coeffs)
@@ -256,8 +253,7 @@ class HomogPoly:
                 powers[i].append(powers[i][-1] * rows[i])
         for e, c in self.coeffs.items():
             term = powers[0][e[0]] * powers[1][e[1]] * powers[2][e[2]]
-            term = term.scale(c)
-            out = term if out.is_zero() else out + term
+            out = out + term.scale(c)
         return out
 
     def restrict_binary(self, pa, pb):
@@ -306,9 +302,7 @@ class HomogPoly:
         F = self.field
         out = HomogPoly.zero(F)
         for i in range(3):
-            t = HomogPoly.variable(F, i) * self.diff(i)
-            if not t.is_zero():
-                out = t if out.is_zero() else out + t
+            out = out + HomogPoly.variable(F, i) * self.diff(i)
         return out
 
     def map_field(self, new_field: Field):

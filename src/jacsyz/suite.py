@@ -11,15 +11,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangements import (LineArrangement, cone_construction,
+from .arrangements import (LineArrangement, _dot, cone_construction,
                            lattice_isomorphic, multiplicity_bound_check,
                            point_syzygy, tau_combinatorial, trichotomy)
-from .backend import make_backend
+from .backend import compute, make_backend
 from .fields import QQ
 from .fixtures import get_fixture
 from .pencils import (PencilProductSpec, discriminant, thm11_trichotomy,
                       thmPEN_classify, total_mu_check, wedge_syzygy)
-from .poly import poly_parse
 from .syzygy import ar_dimension, is_primitive, mdr, verify_syzygy
 from .tangent import find_tangent_instance, tangent_arrangement
 from .tjurina import classify, dpw_bounds, global_tjurina
@@ -209,13 +208,12 @@ def criterion_11_properties(seed=0):
         _expect(euler == fx.f.scale(fx.f.field.coerce(d)),
                 f"{name}: Euler relation failed")
         # tau oracle vs Hilbert function
-        use = backend if fx.f.field == QQ else None
-        prof = global_tjurina(fx.f, use)
+        prof = global_tjurina(fx.f, backend)
         _expect(prof.tau == tau_combinatorial(A), f"{name}: tau oracle")
-        r = mdr(fx.f, use)
+        r = mdr(fx.f, backend)
         # du Plessis-Wall bound and the multiplicity lower bound for mdr
         _expect(prof.tau <= dpw_bounds(d, r)[0], f"{name}: dPW violated")
-        m, rhs, ok = multiplicity_bound_check(A, use)
+        m, rhs, ok = multiplicity_bound_check(A, backend)
         _expect(ok, f"{name}: multiplicity bound")
         _expect(r >= -((-2 * d) // m) - 2, f"{name}: mdr lower bound")
         # point syzygies
@@ -227,9 +225,8 @@ def criterion_11_properties(seed=0):
     for name in ("ex1", "ex5", "ex3"):
         fx = get_fixture(name, seed=seed)
         d1, d2 = fx.expected["exponents"]
-        use = backend if fx.f.field == QQ else None
-        dim = (backend.vote(lambda g: ar_dimension(g, d1), fx.f, what="dim")
-               if use else ar_dimension(fx.f, d1))
+        dim = compute(lambda g: ar_dimension(g, d1), fx.f, backend,
+                      what="dim")
         _expect(dim == (2 if d1 == d2 else 1), f"{name}: dim AR_d1 = {dim}")
     # trichotomy totality on random arrangements
     rng = random.Random(seed + 11)
@@ -252,19 +249,13 @@ def criterion_11_properties(seed=0):
     rng2 = random.Random(seed + 12)
     M = [[Fp.coerce(rng2.randint(1, 50)) for _ in range(3)] for _ in range(3)]
     image = LineArrangement(Fp, [
-        tuple(_dotcol(Fp, M, l.covector, j) for j in range(3))
+        tuple(_dot(Fp, l.covector, [M[r][j] for r in range(3)])
+              for j in range(3))
         for l in A.lines])
     _expect(lattice_isomorphic(A, image), "projective image not isomorphic")
     _expect(tau_combinatorial(A) == tau_combinatorial(image)
             and mdr(A.f) == mdr(image.f), "Terao invariance log mismatch")
     return {"fixtures": len(arrangement_fixtures), "random_trichotomy": 50}
-
-
-def _dotcol(F, M, cov, j):
-    acc = F.zero()
-    for r in range(3):
-        acc = F.add(acc, F.mul(cov[r], M[r][j]))
-    return acc
 
 
 def criterion_12_tangent(seed=0):

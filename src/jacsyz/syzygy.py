@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import Backend
-from .fields import Field, PrimeField, QQ
+from .backend import Backend, compute
+from .fields import Field, PrimeField
 from .linalg import ExactMatrix, nullspace_mod_np, rank_mod_np
 from .poly import HomogPoly, homog_gcd, monomial_count, monomial_index, monomials, poly_parse
 
@@ -89,9 +89,7 @@ def verify_syzygy(f: HomogPoly, s: SyzygyTriple) -> bool:
     fx, fy, fz = f.gradient()
     acc = HomogPoly.zero(f.field)
     for coeff, part in ((s.a, fx), (s.b, fy), (s.c, fz)):
-        t = coeff * part
-        if not t.is_zero():
-            acc = t if acc.is_zero() else acc + t
+        acc = acc + coeff * part
     return acc.is_zero()
 
 
@@ -183,13 +181,7 @@ def ar_dimension(f: HomogPoly, r: int) -> int:
     return ncols - ExactMatrix(field, A).rank()
 
 
-def mdr(f: HomogPoly, backend: Backend | None = None) -> int:
-    """Minimal degree of a nontrivial Jacobian syzygy: ascending scan with
-    early exit; always <= d-1 (the Koszul triple lives there)."""
-    if f.degree < 1:
-        raise ValueError("f must have positive degree")
-    if backend is not None and f.field == QQ and backend.mode == "modular":
-        return backend.vote(mdr, f, what="mdr")
+def _mdr_scan(f: HomogPoly) -> int:
     for r in range(f.degree):
         if ar_dimension(f, r) > 0:
             return r
@@ -197,9 +189,16 @@ def mdr(f: HomogPoly, backend: Backend | None = None) -> int:
         "no syzygy found up to degree d-1; Koszul floor violated")
 
 
+def mdr(f: HomogPoly, backend: Backend | None = None) -> int:
+    """Minimal degree of a nontrivial Jacobian syzygy: ascending scan with
+    early exit; always <= d-1 (the Koszul triple lives there)."""
+    if f.degree < 1:
+        raise ValueError("f must have positive degree")
+    return compute(_mdr_scan, f, backend, what="mdr")
+
+
 def is_cone(f: HomogPoly, backend: Backend | None = None) -> bool:
     """A constant-coefficient syzygy exists iff f depends on only two
     coordinates after a linear change, i.e. f is a cone."""
-    if backend is not None and f.field == QQ and backend.mode == "modular":
-        return backend.vote(is_cone, f, what="cone flag")
-    return ar_dimension(f, 0) > 0
+    return compute(lambda g: ar_dimension(g, 0) > 0, f, backend,
+                   what="cone flag")

@@ -267,15 +267,18 @@ def _tangent_parameters(h: HomogPoly, apex, A, B):
     return uni_interpolate(F, samples)
 
 
-def find_tangent_instance(kind: str = "nodal", seed: int = 0,
-                          prime_attempts: int = 25,
-                          apex_attempts: int = 40) -> TangentConeSpec:
+PRIME_ATTEMPTS = 25  # primes tried by find_tangent_instance
+APEX_ATTEMPTS = 40  # apexes tried per prime
+
+
+def find_tangent_instance(kind: str = "nodal",
+                          seed: int = 0) -> TangentConeSpec:
     """Search primes and apexes until every tangent line from the apex is
     rational over GF(p) and the multiplicity census matches
     e(e-1) = m0 + 2*delta + 3*kappa."""
     maker = {"nodal": nodal_cubic, "cuspidal": cuspidal_cubic}[kind]
     rng = random.Random(seed)
-    for p in random_primes(prime_attempts, seed=seed):
+    for p in random_primes(PRIME_ATTEMPTS, seed=seed):
         F = PrimeField(p)
         h, nodes, cusps = maker(F)
         e = h.degree
@@ -283,7 +286,7 @@ def find_tangent_instance(kind: str = "nodal", seed: int = 0,
         cusps = tuple(_normalize(F, q) for q in cusps)
         delta, kappa = len(nodes), len(cusps)
         m0 = e * (e - 1) - 2 * delta - 3 * kappa
-        for _ in range(apex_attempts):
+        for _ in range(APEX_ATTEMPTS):
             apex = (F.coerce(rng.randrange(1, p)),
                     F.coerce(rng.randrange(p)), F.one())
             if F.is_zero(h.evaluate(apex)):

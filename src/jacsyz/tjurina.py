@@ -8,14 +8,15 @@ rho1 x rho2 = c * grad f with c != 0, and then tau = (d-1)^2 - r(d-1-r).  The
 criterion needs f reduced.  Both syzygies are re-verified exactly.
 
 ``classify`` and ``global_tjurina`` share one input gate, run before any
-linear algebra.  It refuses (ValueError, CLI exit 1) GF(p) with p <= d, for
-the field of f and for every field of a voting backend, where a partial
+linear algebra.  It takes the fields from ``backend.fields_for``, which
+refuses (ValueError, CLI exit 1) GF(p) with p <= d, where a partial
 derivative can vanish identically; and it refuses f unless ``is_reduced``
-proves it reduced, on f itself or on its image in the first voting field (a
-square factor g^2 of a rational curve stays a square factor of the same
-degree mod p, so a reduced image proves the rational curve reduced).  A
-non-reduced image is refused even when f over Q is reduced and the prime is
-bad for it: the vote would compute in that image.
+proves its image in the first of those fields reduced (f itself, or its
+image mod the first voting prime: a square factor g^2 of a rational curve
+stays a square factor of the same degree mod p, so a reduced image proves
+the rational curve reduced).  A non-reduced image is refused even when f
+over Q is reduced and the prime is bad for it: the vote would compute in
+that image.
 
 Every other curve (cones, nearly free and neither curves) gets tau from the
 Hilbert function of the Milnor algebra M(f) = S / (f_x, f_y, f_z): for a
@@ -31,8 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .backend import Backend, make_backend
-from .fields import PrimeField, QQ
+from .backend import Backend, compute, describe, fields_for
 from .linalg import ExactMatrix, rank_mod_np
 from .poly import HomogPoly, is_reduced, monomial_count
 from .syzygy import (SyzygyTriple, _slice_nullspace, _vector_to_triple,
@@ -123,41 +123,31 @@ def _profile(f: HomogPoly) -> MilnorProfile:
     return MilnorProfile(d, {k: tau}, tau, k)
 
 
-def _admit(f: HomogPoly, backend: Backend | None) -> bool:
+def _admit(f: HomogPoly, backend: Backend | None) -> HomogPoly:
     """The input gate of ``classify`` and ``global_tjurina``: raise
-    ValueError unless f has positive degree and every field it is computed
-    in has p > d, and NotReducedError unless f, or its image in the first
-    voting field, is reduced.  Returns whether the computation votes over
-    the primes of ``backend``."""
-    d = f.degree
-    if d < 1:
+    ValueError unless f has positive degree and every field ``fields_for``
+    picks has p > d, and NotReducedError unless f's image in the first of
+    those fields is reduced.  Returns that image."""
+    if f.degree < 1:
         raise ValueError("f must have positive degree")
-    voting = (f.field == QQ and backend is not None
-              and backend.mode == "modular")
-    fields = backend.fields if voting else [f.field]
-    small = [F.p for F in fields if isinstance(F, PrimeField) and F.p <= d]
-    if small:
-        raise ValueError(
-            f"GF(p) with p <= d = {d} is not supported (p = {small}): "
-            "a partial derivative can vanish in characteristic p")
+    F = fields_for(f, backend)[0]
+    image = f if F == f.field else f.map_field(F)
     # a square factor g^2 of a rational f stays a square factor of the same
     # degree mod p, so a reduced image proves f reduced
-    if not is_reduced(f.map_field(fields[0]) if voting else f):
-        if voting:
-            p = fields[0].p
+    if not is_reduced(image):
+        if image is not f:
             raise NotReducedError(
-                f"f is not reduced mod {p}: it has a repeated factor, "
-                f"or {p} is a bad prime for it")
+                f"f is not reduced mod {F.p}: it has a repeated factor, "
+                f"or {F.p} is a bad prime for it")
         raise NotReducedError("f is not reduced: it has a repeated factor")
-    return voting
+    return image
 
 
 def global_tjurina(f: HomogPoly, backend: Backend | None = None) -> MilnorProfile:
     """Global Tjurina number of a reduced curve, read from the Hilbert
     function of its Milnor algebra."""
-    if _admit(f, backend):
-        return backend.vote(_profile, f, what="Tjurina profile")
-    return _profile(f)
+    _admit(f, backend)
+    return compute(_profile, f, backend, what="Tjurina profile")
 
 
 def dpw_bounds(d: int, r: int):
@@ -269,22 +259,13 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     cone with exponents and a syzygy certificate.  Free curves are proved by
     a verified Saito pair where it applies; the rest use the Hilbert path."""
     d = f.degree
-    voting = _admit(f, backend)
-    if voting:
-        backend_desc = backend.describe()
-        verdict = backend.vote(_verdict, f, what="classification")
-        cert_input = f.map_field(backend.fields[0])
-    else:
-        backend_desc = ({"backend": "direct", "primes": [f.field.p]}
-                        if isinstance(f.field, PrimeField)
-                        else {"backend": "rational", "primes": []})
-        verdict = _verdict(f)
-        cert_input = f
+    image = _admit(f, backend)
+    verdict = compute(_verdict, f, backend, what="classification")
     r, tau = verdict.mdr, verdict.tau
 
     certificate = verdict.certificate
     if certificate is None:
-        slice_r = ar_slice(cert_input, r)
+        slice_r = ar_slice(image, r)
         if slice_r.dimension > 0:
             certificate = slice_r.basis[0]
 
@@ -308,6 +289,5 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
         exponents=verdict.exponents,
         certificate=certificate,
         bounds=bounds,
-        backend=backend_desc["backend"],
-        primes=backend_desc["primes"],
+        **describe(f, backend),
     )

@@ -48,9 +48,6 @@ class UniPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def lc(self):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
