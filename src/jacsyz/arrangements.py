@@ -154,92 +154,25 @@ def tau_combinatorial(A: LineArrangement) -> int:
     return sum((p.multiplicity - 1) ** 2 for p in A.lattice().points)
 
 
-def _basis_matrix_through(field, point):
-    """Unimodular 3x3 matrix B with first column the given point (completed
-    with standard basis vectors, deterministic pivot choice)."""
-    pt = list(point)
-    pivot = next(i for i, v in enumerate(pt) if not field.is_zero(v))
-    others = [i for i in range(3) if i != pivot]
-    cols = [pt]
-    for i in others:
-        e = [field.zero()] * 3
-        e[i] = field.one()
-        cols.append(e)
-    # column-major assembly
-    return [[cols[j][i] for j in range(3)] for i in range(3)]
-
-
-def _mat_inverse(field, M):
-    """Inverse of a 3x3 matrix over an exact field (adjugate / determinant)."""
-    a, b, c = M[0]
-    d, e, f = M[1]
-    g, h, i = M[2]
-    mul, sub, add = field.mul, field.sub, field.add
-    A = sub(mul(e, i), mul(f, h))
-    B = sub(mul(c, h), mul(b, i))
-    C = sub(mul(b, f), mul(c, e))
-    D = sub(mul(f, g), mul(d, i))
-    E = sub(mul(a, i), mul(c, g))
-    Fv = sub(mul(c, d), mul(a, f))
-    G = sub(mul(d, h), mul(e, g))
-    H = sub(mul(b, g), mul(a, h))
-    I = sub(mul(a, e), mul(b, d))
-    det = add(add(mul(a, A), mul(b, D)), mul(c, G))
-    if field.is_zero(det):
-        raise ValueError("singular matrix")
-    inv = field.inv(det)
-    adj = [[A, B, C], [D, E, Fv], [G, H, I]]
-    return [[field.mul(inv, adj[r][cc]) for cc in range(3)] for r in range(3)]
-
-
 def point_syzygy(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
-    """The degree d-m syzygy attached to a point of multiplicity m: change
-    coordinates so the point is (1:0:0), form h = product of lines avoiding
-    the point and P = sum over those lines of a_L * h/L, take
-    (x*P - d*h, y*P, z*P) and pull back."""
+    """The degree d-m syzygy attached to a point P of multiplicity m.  With
+    h the product of the lines that miss P and D_P = sum_i P_i d/dx_i, it is
+    rho = D_P(h)*(x, y, z) - d*h*P: by Euler, rho . grad f = d*(D_P(h)*f -
+    h*D_P(f)), and D_P(f) = g*D_P(h) because D_P kills every line through P
+    in f = g*h.  When m = d, h = 1 and rho = -d*P."""
     F = A.field
     if p.multiplicity < 2:
         raise ValueError("lattice points have multiplicity >= 2")
     d = A.d
-    B = _basis_matrix_through(F, p.point)
-    M = _mat_inverse(F, B)
-    # covectors transform by B^T when points transform by B
-    away = [i for i in range(A.d) if i not in p.lines]
     h = HomogPoly.constant(F, 1)
-    transformed = []
-    for i in away:
-        ell = A.lines[i].covector
-        new_cov = tuple(
-            _dot(F, [B[r][cc] for r in range(3)], ell) for cc in range(3))
-        transformed.append(new_cov)
-        h = h * HomogPoly.linear(F, new_cov)
-    # P = sum_L a_L * (h / L), degree d-m-1
-    P = HomogPoly.zero(F)
-    for idx, cov in enumerate(transformed):
-        a_L = cov[0]
-        if F.is_zero(a_L):
-            raise ArithmeticError("line through the point slipped into h")
-        partial = HomogPoly.constant(F, 1)
-        for jdx, cov2 in enumerate(transformed):
-            if jdx != idx:
-                partial = partial * HomogPoly.linear(F, cov2)
-        P = P + partial.scale(a_L)
-    x = HomogPoly.variable(F, 0)
-    y = HomogPoly.variable(F, 1)
-    z = HomogPoly.variable(F, 2)
-    a_new = x * P - h.scale(d)
-    b_new = y * P
-    c_new = z * P
-    # pull back: components substitute M, then mix through B
-    pa = a_new.substitute(M)
-    pb = b_new.substitute(M)
-    pc = c_new.substitute(M)
-    comps = []
-    for r in range(3):
-        acc = HomogPoly.zero(F)
-        for cc, q in enumerate((pa, pb, pc)):
-            acc = acc + q.scale(B[r][cc])
-        comps.append(acc)
+    for i, line in enumerate(A.lines):
+        if i not in p.lines:
+            h = h * line.form()
+    Dh = HomogPoly.zero(F)
+    for c, h_i in zip(p.point, h.gradient()):
+        Dh = Dh + h_i.scale(c)
+    comps = [HomogPoly.variable(F, i) * Dh - h.scale(F.mul(F.coerce(d), c))
+             for i, c in enumerate(p.point)]
     triple = SyzygyTriple(comps[0], comps[1], comps[2], d)
     if not verify_syzygy(A.f, triple):
         raise ArithmeticError("multiple-point syzygy failed verification")

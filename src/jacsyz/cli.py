@@ -45,16 +45,22 @@ def _backend(args):
 
 
 def _load_fixture(name, args):
+    """The named fixture, or None.  A fixture has its own field, so a
+    ``--field`` given with a fixture name is refused, not ignored."""
     try:
-        return get_fixture(name, seed=args.seed)
+        fx = get_fixture(name, seed=args.seed)
     except (KeyError, ValueError):
         return None
+    if args.field is not None:
+        raise InputError(f"--field does not apply to the fixture {name!r}, "
+                         "which has its own field")
+    return fx
 
 
 def _resolve_curve(args):
     """Fixture name, file path (arrangement or polynomial), or inline
     polynomial -> (HomogPoly, LineArrangement | None)."""
-    field = parse_field_tag(args.field)
+    field = parse_field_tag(args.field or "Q")
     fx = _load_fixture(args.input, args)
     if fx is not None:
         if fx.f is None:
@@ -76,7 +82,7 @@ def _resolve_curve(args):
 
 
 def _resolve_arrangement(args) -> LineArrangement:
-    field = parse_field_tag(args.field)
+    field = parse_field_tag(args.field or "Q")
     fx = _load_fixture(args.input, args)
     if fx is not None:
         if fx.arrangement is None:
@@ -98,6 +104,9 @@ def _resolve_pencil_spec(args) -> PencilProductSpec:
             # bare pencil: use the three members q1, q2, q1+q2
             return PencilProductSpec(fx.pencil, ts=(fx.pencil.field.one(),))
         raise InputError(f"fixture {args.input!r} is not a pencil")
+    if args.field is not None:
+        raise InputError("--field does not apply to a pencil spec, which "
+                         "names its own field")
     text = args.input
     if os.path.exists(text):
         with open(text) as fh:
@@ -264,8 +273,10 @@ def cmd_suite(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--field", default="Q",
-                   help="base field: Q or Fp:<prime> (default Q)")
+    p.add_argument("--field",
+                   help="base field of an inline polynomial or a file: Q or "
+                        "Fp:<prime> (default Q); refused with a fixture name "
+                        "or a pencil spec")
     p.add_argument("--primes", type=int, default=3,
                    help="number of voting primes for the modular backend")
     p.add_argument("--seed", type=int, default=0,

@@ -31,6 +31,9 @@ class Field:
 
     tag: str
     char: int
+    # GF(p) with p < 2^31: a product of two residues stays below 2^62, so
+    # numpy int64 arithmetic on residues is exact (the fast kernels' range)
+    int64 = False
 
     def coerce(self, x):
         raise NotImplementedError
@@ -143,6 +146,7 @@ class PrimeField(Field):
         self.p = p
         self.char = p
         self.tag = f"Fp:{p}"
+        self.int64 = p < 2**31
 
     def coerce(self, x):
         p = self.p

@@ -2,11 +2,19 @@
 
 The term order is graded lexicographic with x > y > z, fixed globally, so
 printed certificates are byte-stable.
+
+Products over GF(p) with p < 2^31 run on an int64 numpy grid (``_mul_int64``):
+a form of degree d is a (d+1) x (d+1) array indexed by the exponents (j, k)
+of y and z.  Over Q and over GF(p) with p >= 2^31 the product is the
+generic loop over pairs of terms (``_mul_terms``).  A polynomial computes its
+gradient once and keeps it; nothing changes ``coeffs`` after construction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .fields import Field, QQ
 from .uni import UniPoly
@@ -64,7 +72,7 @@ class HomogPoly:
     """Homogeneous polynomial in x, y, z: table from exponent triples to
     nonzero scalars.  The zero polynomial has empty table and degree -1."""
 
-    __slots__ = ("field", "degree", "coeffs")
+    __slots__ = ("field", "degree", "coeffs", "_gradient")
 
     def __init__(self, field: Field, degree: int, coeffs: dict):
         clean = {}
@@ -80,6 +88,18 @@ class HomogPoly:
         self.field = field
         self.degree = degree
         self.coeffs = clean
+        self._gradient = None
+
+    @classmethod
+    def _trusted(cls, field: Field, degree: int, coeffs: dict):
+        """A polynomial from a table that is already clean: nonzero scalars
+        of ``field`` at exponent tuples of total degree ``degree``."""
+        self = object.__new__(cls)
+        self.field = field
+        self.degree = degree if coeffs else -1
+        self.coeffs = coeffs
+        self._gradient = None
+        return self
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -161,7 +181,7 @@ class HomogPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return HomogPoly(F, self.degree, out)
+        return HomogPoly._trusted(F, self.degree, out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -172,19 +192,11 @@ class HomogPoly:
 
     def __mul__(self, other):
         self._check_field(other)
-        F = self.field
         if self.is_zero() or other.is_zero():
-            return HomogPoly.zero(F)
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = F.add(out.get(e, F.zero()), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return HomogPoly(F, self.degree + other.degree, out)
+            return HomogPoly.zero(self.field)
+        if self.field.int64:
+            return _mul_int64(self, other)
+        return _mul_terms(self, other)
 
     def scale(self, c):
         F = self.field
@@ -219,7 +231,10 @@ class HomogPoly:
         return HomogPoly(F, self.degree - 1 if out else -1, out)
 
     def gradient(self):
-        return (self.diff(0), self.diff(1), self.diff(2))
+        """(p_x, p_y, p_z), computed on the first call and kept."""
+        if self._gradient is None:
+            self._gradient = (self.diff(0), self.diff(1), self.diff(2))
+        return self._gradient
 
     def evaluate(self, point):
         F = self.field
@@ -301,8 +316,8 @@ class HomogPoly:
         """x*p_x + y*p_y + z*p_z (equals deg * p in good characteristic)."""
         F = self.field
         out = HomogPoly.zero(F)
-        for i in range(3):
-            out = out + HomogPoly.variable(F, i) * self.diff(i)
+        for i, part in enumerate(self.gradient()):
+            out = out + HomogPoly.variable(F, i) * part
         return out
 
     def map_field(self, new_field: Field):
@@ -390,6 +405,46 @@ class HomogPoly:
 
     def __repr__(self):
         return f"HomogPoly({self.field}, {self.to_str()})"
+
+
+def _mul_terms(a: HomogPoly, b: HomogPoly) -> HomogPoly:
+    """Product of two nonzero forms over any field: every pair of terms."""
+    F = a.field
+    out: dict = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            s = F.add(out.get(e, F.zero()), F.mul(c1, c2))
+            if F.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return HomogPoly._trusted(F, a.degree + b.degree, out)
+
+
+def _mul_int64(a: HomogPoly, b: HomogPoly) -> HomogPoly:
+    """Product of two nonzero forms over GF(p), p < 2^31, on the (j, k)
+    exponent grid: one shifted ``win += c*B; win %= p`` per term of the
+    factor with fewer terms.  Exact in int64, since c*B <= (p-1)^2 < 2^62
+    and the window holds residues below p."""
+    if len(a.coeffs) > len(b.coeffs):
+        a, b = b, a
+    p = a.field.p
+    n = b.degree + 1
+    B = np.zeros((n, n), dtype=np.int64)
+    exps = np.array(list(b.coeffs), dtype=np.int64)
+    B[exps[:, 1], exps[:, 2]] = list(b.coeffs.values())
+    D = a.degree + b.degree
+    out = np.zeros((D + 1, D + 1), dtype=np.int64)
+    for (_, j, k), c in a.coeffs.items():
+        win = out[j:j + n, k:k + n]
+        win += c * B
+        win %= p
+    js, ks = np.nonzero(out)
+    vals = out[js, ks].tolist()
+    return HomogPoly._trusted(a.field, D, {
+        (D - j - k, j, k): v
+        for j, k, v in zip(js.tolist(), ks.tolist(), vals)})
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +773,7 @@ def is_reduced(f: HomogPoly) -> bool:
         if u.degree == f.degree and u.gcd(u.derivative()).degree == 0:
             return True
     g = None
-    for i in range(3):
-        fi = f.diff(i)
+    for fi in f.gradient():
         if fi.is_zero():
             continue
         gi = homog_gcd(f, fi)

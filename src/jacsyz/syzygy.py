@@ -4,18 +4,26 @@ degree.
 A syzygy of degree r is a triple (a, b, c) of degree-r forms with
 a*f_x + b*f_y + c*f_z = 0; the degree-r slice is the kernel of the linear map
 S_r^3 -> S_{r+d-1} realized as an exact matrix.
+
+``graded_multiplication_matrix`` fills that matrix with one numpy scatter
+per polynomial: the graded-lex index of (i, j, k) in ``poly.monomials``
+order is s(s+1)/2 + k with s = j + k, in every degree.  Over GF(p) with
+p < 2^31 the matrix is int64 for the ``linalg`` int64 kernel; over Q and
+GF(p) with p >= 2^31 the same scatter fills an object array of exact
+scalars for the generic elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .backend import Backend, compute
-from .fields import Field, PrimeField
+from .fields import Field
 from .linalg import ExactMatrix, nullspace_mod_np, rank_mod_np
-from .poly import HomogPoly, homog_gcd, monomial_count, monomial_index, monomials, poly_parse
+from .poly import HomogPoly, homog_gcd, monomial_count, monomials, poly_parse
 
 __all__ = [
     "SyzygyTriple",
@@ -106,28 +114,40 @@ def is_primitive(s: SyzygyTriple) -> bool:
     return g.degree == 0
 
 
+@lru_cache(maxsize=None)
+def _monomial_jk(r: int):
+    """Exponents of y and of z of the degree-r monomials, graded-lex."""
+    mons = np.array(monomials(r), dtype=np.int64).reshape(-1, 3)
+    mons.setflags(write=False)  # cached: every caller gets the same array
+    return mons[:, 1], mons[:, 2]
+
+
 def graded_multiplication_matrix(polys, r: int, target: int):
     """Matrix of (u_1, ..., u_s) -> sum u_i * p_i from S_r^s to S_target.
 
     Columns are grouped by polynomial, graded-lex within each group; rows are
-    the graded-lex monomials of S_target.  Returns a numpy int64 array over a
-    prime field with p < 2^31 (the int64 kernel's range), otherwise a
-    list-of-lists over the exact field.
+    the graded-lex monomials of S_target.  Every nonzero p_i has degree
+    target - r.  Returns a numpy int64 array over a prime field with
+    p < 2^31 (the int64 kernel's range), otherwise a list-of-lists over the
+    exact field.
     """
     field = polys[0].field
-    small = isinstance(field, PrimeField) and field.p < 2**31
-    A = np.full((monomial_count(target), len(polys) * monomial_count(r)),
-                field.zero(), dtype=np.int64 if small else object)
-    ridx = monomial_index(target)
-    mons = monomials(r)
-    col = 0
-    for p in polys:
-        terms = list(p.coeffs.items())
-        for (mi, mj, mk) in mons:
-            for (ei, ej, ek), v in terms:
-                A[ridx[(ei + mi, ej + mj, ek + mk)], col] = v
-            col += 1
-    return A if small else A.tolist()
+    m = monomial_count(r)
+    A = np.full((monomial_count(target), len(polys) * m), field.zero(),
+                dtype=np.int64 if field.int64 else object)
+    mj, mk = _monomial_jk(r)
+    for b, p in enumerate(polys):
+        if p.is_zero():
+            continue
+        if p.degree != target - r:
+            raise ValueError(
+                f"degree {p.degree} polynomial in a map S_{r} -> S_{target}")
+        exps = np.array(list(p.coeffs), dtype=np.int64)
+        k = exps[:, 2:] + mk
+        s = exps[:, 1:2] + mj + k
+        values = np.array(list(p.coeffs.values()), dtype=A.dtype)
+        A[s * (s + 1) // 2 + k, b * m + np.arange(m)] = values[:, None]
+    return A if field.int64 else A.tolist()
 
 
 def _slice_nullspace(f: HomogPoly, r: int):

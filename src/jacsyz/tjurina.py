@@ -64,9 +64,7 @@ class NotReducedError(ValueError):
 @dataclass(frozen=True)
 class MilnorProfile:
     degree: int
-    samples: dict
     tau: int
-    stabilization_degree: int
 
 
 @dataclass
@@ -118,9 +116,7 @@ def _profile(f: HomogPoly) -> MilnorProfile:
     """tau of a reduced curve: its Milnor algebra has dimension tau in every
     degree k > 3(d-2)."""
     d = f.degree
-    k = max(3 * d - 5, 0)
-    tau = milnor_hilbert(f, k)
-    return MilnorProfile(d, {k: tau}, tau, k)
+    return MilnorProfile(d, milnor_hilbert(f, max(3 * d - 5, 0)))
 
 
 def _admit(f: HomogPoly, backend: Backend | None) -> HomogPoly:

@@ -11,10 +11,10 @@ from jacsyz.arrangements import (LineArrangement, arrangement_to_file,
                                  multiplicity_bound_check,
                                  parse_arrangement_file, point_syzygy,
                                  tau_combinatorial, trichotomy)
-from jacsyz.fields import QQ
+from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import get_fixture
-from jacsyz.poly import poly_parse
-from jacsyz.syzygy import is_primitive, mdr, verify_syzygy
+from jacsyz.poly import HomogPoly, poly_parse
+from jacsyz.syzygy import SyzygyTriple, is_primitive, mdr, verify_syzygy
 from jacsyz.tjurina import classify, global_tjurina
 
 covectors = st.lists(
@@ -73,6 +73,92 @@ def test_point_syzygy_all_points():
     # the modular point realizes the mdr: degree 6-4 = 2 = d1
     top = A.lattice().points[0]
     assert point_syzygy(A, top).degree == mdr(A.f)
+
+
+def _reference_point_syzygy(A, p):
+    """The construction that point_syzygy replaced, kept as its oracle:
+    move the point to (1:0:0) by a basis matrix B, take (x*P - d*h, y*P,
+    z*P) there with P = dh/dx, substitute B^-1 and mix through B."""
+    F = A.field
+    mul, sub, add = F.mul, F.sub, F.add
+    pivot = next(i for i, v in enumerate(p.point) if not F.is_zero(v))
+    cols = [list(p.point)]
+    for i in range(3):
+        if i != pivot:
+            cols.append([F.one() if j == i else F.zero() for j in range(3)])
+    B = [[cols[j][i] for j in range(3)] for i in range(3)]
+    (a, b, c), (d_, e, f), (g, h_, i_) = B
+    adj = [[sub(mul(e, i_), mul(f, h_)), sub(mul(c, h_), mul(b, i_)),
+            sub(mul(b, f), mul(c, e))],
+           [sub(mul(f, g), mul(d_, i_)), sub(mul(a, i_), mul(c, g)),
+            sub(mul(c, d_), mul(a, f))],
+           [sub(mul(d_, h_), mul(e, g)), sub(mul(b, g), mul(a, h_)),
+            sub(mul(a, e), mul(b, d_))]]
+    det = add(add(mul(a, adj[0][0]), mul(b, adj[1][0])), mul(c, adj[2][0]))
+    M = [[F.div(v, det) for v in row] for row in adj]
+    away = []
+    for k, line in enumerate(A.lines):
+        if k not in p.lines:
+            away.append(tuple(
+                add(add(mul(B[0][cc], line.covector[0]),
+                        mul(B[1][cc], line.covector[1])),
+                    mul(B[2][cc], line.covector[2])) for cc in range(3)))
+    h = HomogPoly.constant(F, 1)
+    for cov in away:
+        h = h * HomogPoly.linear(F, cov)
+    P = HomogPoly.zero(F)
+    for k, cov in enumerate(away):
+        part = HomogPoly.constant(F, 1)
+        for k2, cov2 in enumerate(away):
+            if k2 != k:
+                part = part * HomogPoly.linear(F, cov2)
+        P = P + part.scale(cov[0])
+    x, y, z = (HomogPoly.variable(F, i) for i in range(3))
+    moved = [(x * P - h.scale(A.d)).substitute(M), (y * P).substitute(M),
+             (z * P).substitute(M)]
+    comps = []
+    for r in range(3):
+        acc = HomogPoly.zero(F)
+        for cc, q in enumerate(moved):
+            acc = acc + q.scale(B[r][cc])
+        comps.append(acc)
+    return SyzygyTriple(comps[0], comps[1], comps[2], A.d)
+
+
+@pytest.mark.parametrize("name", ["triangle", "ex1", "ex2a", "ex2b", "ex3",
+                                  "ex5", "ex12i:2", "ex12i:3"])
+def test_point_syzygy_matches_reference_on_fixtures(name):
+    A = get_fixture(name).arrangement
+    points = A.lattice().points
+    if A.d > 12:  # the reference costs ~0.3 s a point at d = 19
+        points = (points[0], points[-1])
+    for p in points:
+        assert point_syzygy(A, p) == _reference_point_syzygy(A, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(covectors, st.sampled_from([QQ, PrimeField(1000003)]))
+def test_point_syzygy_matches_reference(covs, field):
+    try:
+        A = LineArrangement(field, covs)
+    except ValueError:
+        return
+    for p in A.lattice().points:
+        assert point_syzygy(A, p) == _reference_point_syzygy(A, p)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_point_syzygy_of_concurrent_lines_is_constant(field):
+    # m = d: every line passes through the point, h = 1 and rho = -d*P
+    A = LineArrangement(field, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0),
+                                (1, 2, 0)])
+    (p,) = A.lattice().points
+    assert p.multiplicity == A.d == 5 and p.point == (0, 0, 1)
+    s = point_syzygy(A, p)
+    assert s.degree == 0
+    assert s.a.is_zero() and s.b.is_zero()
+    assert s.c == HomogPoly.constant(field, -5)
+    assert s == _reference_point_syzygy(A, p)
 
 
 def test_trichotomy_cases():

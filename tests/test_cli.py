@@ -1,8 +1,14 @@
+import io
+from fractions import Fraction
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
+from jacsyz.backend import make_backend
 from jacsyz.cli import main
+from jacsyz.fields import QQ
+from jacsyz.poly import HomogPoly
 
 
 def run(capsys, *argv):
@@ -117,3 +123,131 @@ def test_suite_bad_filter(capsys):
 def test_entry_point_matches_pyproject():
     import jacsyz.cli
     assert callable(jacsyz.cli.main)
+
+
+# --field is applied to inline input and refused with a fixture --------------
+
+def test_field_with_fixture_name_is_refused(capsys):
+    code, out, err = run(capsys, "analyze", "ex1", "--field", "Fp:101")
+    assert code == 1 and out == "" and "--field" in err
+    code, out, err = run(capsys, "arrangement", "lattice", "triangle",
+                         "--field", "Q")
+    assert code == 1 and out == "" and "--field" in err
+    code, out, err = run(capsys, "pencil", "classify", "fermat:3",
+                         "--field", "Q")
+    assert code == 1 and out == "" and "--field" in err
+
+
+def test_field_with_pencil_spec_is_refused(capsys, tmp_path):
+    from jacsyz.fixtures import get_fixture
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(get_fixture("ex12ii").spec.to_json()))
+    code, out, err = run(capsys, "pencil", "syzygy", str(path),
+                         "--field", "Fp:101")
+    assert code == 1 and out == "" and "--field" in err
+
+
+def test_field_applies_to_inline_polynomial(capsys):
+    code, out, _ = run(capsys, "analyze", "x*y*z", "--field", "Fp:101",
+                       "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["backend"] == "direct" and data["primes"] == [101]
+    code, out, _ = run(capsys, "analyze", "x*y*z", "--json")
+    assert code == 0 and json.loads(out)["backend"] == "modular"
+
+
+# exit codes over generated input -------------------------------------------
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def analyze(text, *options):
+    """``analyze`` on a polynomial text, which may begin with a minus sign."""
+    return run_quiet("analyze", *options, "--", text)
+
+
+covector = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                     st.integers(-3, 3)).filter(any)
+
+
+def _projective(c):
+    """A covector up to scaling: divided by its first nonzero entry."""
+    lead = next(v for v in c if v)
+    return tuple(Fraction(v, lead) for v in c)
+
+
+def _product(covs, field=QQ):
+    f = HomogPoly.constant(field, 1)
+    for c in covs:
+        f = f * HomogPoly.linear(field, c)
+    return f
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(covector, min_size=2, max_size=4, unique_by=_projective),
+       st.sampled_from([None, "Fp:1000003"]))
+def test_exit_0_on_distinct_lines(covs, field):
+    text = _product(covs).to_str()
+    code, out, err = analyze(text, *(["--field", field] if field else []))
+    assert code == 0 and err == "" and "class" in out
+
+
+@settings(max_examples=12, deadline=None)
+@given(covector, st.lists(covector, min_size=0, max_size=3),
+       st.sampled_from([None, "Fp:1000003"]))
+def test_exit_1_on_non_reduced_curve(square, rest, field):
+    text = _product([square, square] + rest).to_str()
+    code, out, err = analyze(text, *(["--field", field] if field else []))
+    assert code == 1 and out == "" and "not reduced" in err
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 9).flatmap(
+    lambda d: st.tuples(st.just(d), st.sampled_from(
+        [p for p in (3, 5, 7) if p <= d]))))
+def test_exit_1_on_small_prime(case):
+    d, p = case
+    code, out, err = analyze(f"x^{d} + y^{d} + z^{d}", "--field", f"Fp:{p}")
+    assert code == 1 and out == "" and f"p <= d = {d}" in err
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(covector, min_size=1, max_size=3),
+       st.sampled_from("#$@!?&;[]{}~"), st.data())
+def test_exit_1_on_unparsable_text(covs, junk, data):
+    text = _product(covs).to_str()
+    at = data.draw(st.integers(0, len(text)))
+    code, out, err = analyze(text[:at] + junk + text[at:])
+    assert code == 1 and out == "" and "cannot parse input" in err
+
+
+zero_point = st.builds(
+    lambda fmt, a, b, c: fmt.format(a, b, c),
+    st.sampled_from(["{},{},{}", "({}:{}:{})", "{}, {}, {}"]),
+    *[st.sampled_from(["0", "-0", "0/3", "00"])] * 3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(zero_point, st.sampled_from(["triangle", "ex1"]))
+def test_exit_1_on_zero_point(point, name):
+    code, out, err = run_quiet("arrangement", "trichotomy", name,
+                               f"--point={point}")
+    assert code == 1 and out == "" and "zero vector" in err
+    code, out, err = run_quiet("arrangement", "cone", name, f"--apex={point}")
+    assert code == 1 and out == "" and "zero vector" in err
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 50), st.integers(0, 2), st.integers(1, 5))
+def test_exit_2_when_one_voting_prime_is_bad(seed, bad, c):
+    # x*y*z + c*p*(x^3 + y^3 + z^3) is the triangle mod the voting prime p
+    # and a smooth cubic mod the other two: the vote must refuse
+    p = make_backend(seed=seed).primes[bad]
+    code, out, err = analyze(f"x*y*z + {c * p}*(x^3+y^3+z^3)",
+                             "--seed", str(seed))
+    assert code == 2 and out == "" and "backend disagreement" in err
