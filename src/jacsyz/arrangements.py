@@ -12,8 +12,8 @@ from math import comb
 from .backend import Backend
 from .fields import Field, QQ
 from .poly import HomogPoly
-from .syzygy import SyzygyTriple, mdr, verify_syzygy
-from .tjurina import FreenessReport, InconsistencyError, classify, thmF_gate
+from .syzygy import SyzygyTriple, _mdr_scan, mdr, verify_syzygy
+from .tjurina import FreenessReport, InconsistencyError, _trichotomy, classify
 
 __all__ = [
     "ProjLine",
@@ -67,10 +67,7 @@ class ProjLine:
 
     def contains(self, point) -> bool:
         F = self.field
-        acc = F.zero()
-        for a, p in zip(self.covector, point):
-            acc = F.add(acc, F.mul(a, F.coerce(p)))
-        return F.is_zero(acc)
+        return F.is_zero(_dot(F, self.covector, [F.coerce(p) for p in point]))
 
 
 class LineArrangement:
@@ -154,12 +151,13 @@ def tau_combinatorial(A: LineArrangement) -> int:
     return sum((p.multiplicity - 1) ** 2 for p in A.lattice().points)
 
 
-def point_syzygy(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
-    """The degree d-m syzygy attached to a point P of multiplicity m.  With
-    h the product of the lines that miss P and D_P = sum_i P_i d/dx_i, it is
-    rho = D_P(h)*(x, y, z) - d*h*P: by Euler, rho . grad f = d*(D_P(h)*f -
-    h*D_P(f)), and D_P(f) = g*D_P(h) because D_P kills every line through P
-    in f = g*h.  When m = d, h = 1 and rho = -d*P."""
+def _point_triple(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
+    """The degree d-m syzygy attached to a point P of multiplicity m,
+    unverified.  With h the product of the lines that miss P and
+    D_P = sum_i P_i d/dx_i, it is rho = D_P(h)*(x, y, z) - d*h*P: by Euler,
+    rho . grad f = d*(D_P(h)*f - h*D_P(f)), and D_P(f) = g*D_P(h) because
+    D_P kills every line through P in f = g*h.  When m = d, h = 1 and
+    rho = -d*P."""
     F = A.field
     if p.multiplicity < 2:
         raise ValueError("lattice points have multiplicity >= 2")
@@ -173,10 +171,15 @@ def point_syzygy(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
         Dh = Dh + h_i.scale(c)
     comps = [HomogPoly.variable(F, i) * Dh - h.scale(F.mul(F.coerce(d), c))
              for i, c in enumerate(p.point)]
-    triple = SyzygyTriple(comps[0], comps[1], comps[2], d)
+    return SyzygyTriple(comps[0], comps[1], comps[2], d)
+
+
+def point_syzygy(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
+    """``_point_triple``, verified against the arrangement's polynomial."""
+    triple = _point_triple(A, p)
     if not verify_syzygy(A.f, triple):
         raise ArithmeticError("multiple-point syzygy failed verification")
-    if triple.degree != d - p.multiplicity:
+    if triple.degree != A.d - p.multiplicity:
         raise ArithmeticError("multiple-point syzygy has wrong degree")
     return triple
 
@@ -195,48 +198,28 @@ class TrichotomyResult:
     m: int
     d: int
     report: FreenessReport | None = None
-    boundary_note: str | None = None
 
 
 def trichotomy(A: LineArrangement, p: LatticePoint,
                backend: Backend | None = None) -> TrichotomyResult:
-    """Exhaustive case split for a multiple point: either r = d-m, or r = m-1
-    with freeness certified, or m <= r <= d-m-1.  Raising here would falsify
-    the trichotomy theorem."""
-    m = p.multiplicity
-    d = A.d
-    f = A.f
-    r = mdr(f, backend)
-    if r > d - m:
-        raise InconsistencyError(
-            f"mdr={r} exceeds d-m={d - m}: contradicts the multiple-point syzygy")
-    if r == d - m:
-        return TrichotomyResult(0, r, m, d)
-    if r <= m - 1:
-        if r != m - 1:
-            raise InconsistencyError(
-                f"mdr={r} < m-1={m - 1} with mdr < d-m: impossible case")
-        report = classify(f, backend)
-        if thmF_gate(d, r, report.tau) != "attained":
-            raise InconsistencyError(
-                f"case (1) fired (r=m-1={r}) but freeness bound not attained")
-        note = None
-        if 2 * m == d + 1:
-            note = "edge case 2m = d+1 observed in case (1)"
-        return TrichotomyResult(1, r, m, d, report, note)
-    if m <= r <= d - m - 1:
-        return TrichotomyResult(2, r, m, d)
-    raise InconsistencyError(
-        f"trichotomy fell through: d={d}, m={m}, r={r}")
+    """Exhaustive case split for a multiple point, seeded by its syzygy of
+    degree d-m: either r = d-m (case 0), or r = m-1 with freeness certified
+    (case 1), or m <= r <= d-m-1 (case 2).  Raising here would falsify the
+    trichotomy theorem."""
+    case, r, _, report = _trichotomy(A.f, A.d - p.multiplicity,
+                                     lambda: _point_triple(A, p), backend)
+    return TrichotomyResult(("generic", "free", "middle").index(case), r,
+                            p.multiplicity, A.d, report)
 
 
 def multiplicity_bound_check(A: LineArrangement,
                              backend: Backend | None = None):
-    """m(A) >= 2d/(mdr+2), compared exactly over the rationals."""
-    m = A.lattice().m_max
-    d = A.d
-    r = mdr(A.f, backend)
-    rhs = Fraction(2 * d, r + 2)
+    """m(A) >= 2d/(mdr+2), compared exactly over the rationals; mdr is
+    scanned below the syzygy of a point of highest multiplicity."""
+    top = A.lattice().points[0]
+    m = top.multiplicity
+    r = _mdr_scan(A.f, A.d - m, lambda: _point_triple(A, top), backend)
+    rhs = Fraction(2 * A.d, r + 2)
     return m, rhs, Fraction(m) >= rhs
 
 

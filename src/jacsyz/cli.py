@@ -227,7 +227,7 @@ def cmd_pencil(args) -> int:
         _emit(args, payload, lines)
         return 0
     if args.sub == "classify":
-        verdict = thmPEN_classify(spec, seed=args.seed)
+        verdict = thmPEN_classify(spec, _backend(args), seed=args.seed)
         payload = verdict.to_json()
         _emit(args, payload, [
             f"condition (1): {verdict.condition1}",
@@ -252,6 +252,9 @@ def cmd_pencil(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    for flag in ("field", "primes"):
+        if getattr(args, flag) is not None:
+            raise InputError(f"--{flag} does not apply to suite")
     results = run_suite(seed=args.seed, name_filter=args.filter)
     if not results:
         raise InputError(f"filter {args.filter!r} matches no criterion")
@@ -276,9 +279,10 @@ def _add_common(p):
     p.add_argument("--field",
                    help="base field of an inline polynomial or a file: Q or "
                         "Fp:<prime> (default Q); refused with a fixture name "
-                        "or a pencil spec")
+                        "or a pencil spec, and by suite")
     p.add_argument("--primes", type=int, default=3,
-                   help="number of voting primes for the modular backend")
+                   help="number of voting primes for the modular backend "
+                        "(refused by suite)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized choices")
     p.add_argument("--json", action="store_true",
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", help="run only criteria whose name contains "
                    "this substring")
     _add_common(p)
-    p.set_defaults(func=cmd_suite)
+    p.set_defaults(func=cmd_suite, primes=None)
     return ap
 
 

@@ -14,9 +14,9 @@ from .fields import Field, PrimeField, QQ, parse_field_tag, random_primes
 from .linalg import ExactMatrix
 from .poly import (HomogPoly, homog_gcd, is_reduced, monomial_index,
                    monomials, poly_parse)
-from .syzygy import SyzygyTriple, is_cone, mdr, verify_syzygy
-from .tjurina import (InconsistencyError, NotReducedError, classify,
-                      global_tjurina)
+from .syzygy import SyzygyTriple, is_cone, verify_syzygy
+from .tjurina import (InconsistencyError, NotReducedError, _trichotomy,
+                      classify, global_tjurina)
 from .uni import UniPoly, uni_interpolate, uni_squarefree
 
 __all__ = [
@@ -707,8 +707,9 @@ class PencilCase:
 
 def thm11_trichotomy(spec: PencilProductSpec,
                      backend: Backend | None = None) -> PencilCase:
-    """Pure pencil products (m >= 3, k >= 2): mdr = 2k-2, or m=3 and either
-    mdr = k+1 with certified freeness (k >= 4), or k+2 <= mdr <= 2k-3."""
+    """Pure pencil products (m >= 3, k >= 2), seeded by the wedge syzygy:
+    mdr = 2k-2, or m=3 and either mdr = k+1 with certified freeness
+    (k >= 4), or k+2 <= mdr <= 2k-3."""
     P = spec.pencil
     k, m = P.k, spec.m
     if spec.h is not None:
@@ -719,32 +720,15 @@ def thm11_trichotomy(spec: PencilProductSpec,
         raise ValueError("pencil base locus is not 0-dimensional")
     backend = backend or make_backend(seed=0)
     f = build_product(spec)
-    r = mdr(f, backend)
-    if r == 2 * k - 2:
-        return PencilCase("thm11", "generic", r, (2 * k - 2, 2 * k - 2))
-    if m != 3 or r > 2 * k - 3:
-        raise InconsistencyError(
-            f"mdr={r} != 2k-2={2 * k - 2} with m={m}: theorem violation")
-    if r <= k + 1:
-        if r != k + 1 or k < 4:
-            raise InconsistencyError(
-                f"case (1) requires mdr=k+1={k + 1} and k>=4, got mdr={r}")
-        report = classify(f, backend)
-        if not (report.classification == "free"
-                and report.exponents == (k + 1, 2 * k - 2)):
-            raise InconsistencyError(
-                f"case (1) promises free ({k + 1}, {2 * k - 2}), got "
-                f"{report.classification} {report.exponents}")
-        return PencilCase("thm11", "free", r, (k + 1, k + 1), report)
-    if k >= 5 and k + 2 <= r <= 2 * k - 3:
-        return PencilCase("thm11", "middle", r, (k + 2, 2 * k - 3))
-    raise InconsistencyError(f"thm11 fell through: k={k}, m={m}, r={r}")
+    return PencilCase("thm11", *_trichotomy(
+        f, 2 * k - 2, lambda: wedge_syzygy(P, f), backend))
 
 
 def thm13_trichotomy(spec: PencilProductSpec,
                      backend: Backend | None = None) -> PencilCase:
-    """Products with a residual factor h: mdr = 2k-2+deg h = d-(m-2)k-2, or
-    mdr = (m-2)k+1 with certified freeness, or strictly in between."""
+    """Products with a residual factor h, seeded by the three-term syzygy:
+    mdr = 2k-2+deg h = d-(m-2)k-2, or mdr = (m-2)k+1 with certified
+    freeness, or strictly in between."""
     P = spec.pencil
     k, m = P.k, spec.m
     if spec.h is None:
@@ -753,27 +737,6 @@ def thm13_trichotomy(spec: PencilProductSpec,
         raise ValueError("need m >= 2 pencil members")
     backend = backend or make_backend(seed=0)
     f = build_product(spec)  # checks (q1, q2, h) share no zero
-    d = f.degree
-    top = d - (m - 2) * k - 2
-    assert top == 2 * k - 2 + spec.h.degree
-    r = mdr(f, backend)
-    if r == top:
-        return PencilCase("thm13", "generic", r, (top, top))
-    if r > top:
-        raise InconsistencyError(
-            f"mdr={r} exceeds 2k-2+deg h={top}: theorem violation")
-    lo = (m - 2) * k + 1
-    if r <= lo:
-        if r != lo:
-            raise InconsistencyError(
-                f"case (1) requires mdr=(m-2)k+1={lo}, got {r}")
-        report = classify(f, backend)
-        if not (report.classification == "free"
-                and report.exponents == (lo, d - lo - 1)):
-            raise InconsistencyError(
-                f"case (1) promises free ({lo}, {d - lo - 1}), got "
-                f"{report.classification} {report.exponents}")
-        return PencilCase("thm13", "free", r, (lo, lo), report)
-    if lo + 1 <= r <= top - 1:
-        return PencilCase("thm13", "middle", r, (lo + 1, top - 1))
-    raise InconsistencyError(f"thm13 fell through: k={k}, m={m}, r={r}")
+    return PencilCase("thm13", *_trichotomy(
+        f, 2 * k - 2 + spec.h.degree, lambda: lemma2_syzygy(P, spec.h, m, f),
+        backend))

@@ -11,6 +11,10 @@ order is s(s+1)/2 + k with s = j + k, in every degree.  Over GF(p) with
 p < 2^31 the matrix is int64 for the ``linalg`` int64 kernel; over Q and
 GF(p) with p >= 2^31 the same scatter fills an object array of exact
 scalars for the generic elimination.
+
+``_mdr_scan`` is the one mdr scan: given an explicit syzygy of degree u (the
+Koszul syzygy for ``mdr``, a paper's syzygy for the trichotomies) it ranks
+AR_r only for r < u, since AR_r != 0 implies AR_{r+1} != 0.
 """
 
 from __future__ import annotations
@@ -201,20 +205,45 @@ def ar_dimension(f: HomogPoly, r: int) -> int:
     return ncols - ExactMatrix(field, A).rank()
 
 
-def _mdr_scan(f: HomogPoly) -> int:
-    for r in range(f.degree):
-        if ar_dimension(f, r) > 0:
-            return r
-    raise ArithmeticError(
-        "no syzygy found up to degree d-1; Koszul floor violated")
+def _koszul(f: HomogPoly) -> SyzygyTriple:
+    """The Koszul syzygy (f_y, -f_x, 0) of degree d-1, or (0, f_z, 0) when
+    that one is zero."""
+    fx, fy, fz = f.gradient()
+    zero = HomogPoly.zero(f.field)
+    if fx.is_zero() and fy.is_zero():
+        return SyzygyTriple(zero, fz, zero, f.degree)
+    return SyzygyTriple(fy, -fx, zero, f.degree)
+
+
+def _mdr_scan(f: HomogPoly, u: int, build,
+              backend: Backend | None = None) -> int:
+    """mdr(f) given a seed: a syzygy of degree u that ``build()`` returns
+    over f's field.  In each field of ``compute``: the first r < u with
+    AR_r != 0, else u, once the seed (built at most once) is mapped into
+    that field and verified there; ArithmeticError if it is zero, of another
+    degree or no syzygy.  No rank at u or above is taken."""
+    seed = lru_cache(maxsize=None)(build)
+
+    def scan(g: HomogPoly) -> int:
+        for r in range(u):
+            if ar_dimension(g, r) > 0:
+                return r
+        s = SyzygyTriple(*(p.map_field(g.field) for p in seed().components()),
+                         g.degree)
+        if s.is_zero() or s.degree != u or not verify_syzygy(g, s):
+            raise ArithmeticError(
+                f"the degree-{u} seed syzygy fails in {g.field.tag}")
+        return u
+
+    return compute(scan, f, backend, what="mdr")
 
 
 def mdr(f: HomogPoly, backend: Backend | None = None) -> int:
     """Minimal degree of a nontrivial Jacobian syzygy: ascending scan with
-    early exit; always <= d-1 (the Koszul triple lives there)."""
+    early exit below d-1, where the Koszul syzygy certifies the answer."""
     if f.degree < 1:
         raise ValueError("f must have positive degree")
-    return compute(_mdr_scan, f, backend, what="mdr")
+    return _mdr_scan(f, f.degree - 1, lambda: _koszul(f), backend)
 
 
 def is_cone(f: HomogPoly, backend: Backend | None = None) -> bool:

@@ -30,14 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-import numpy as np
-
 from .backend import Backend, compute, describe, fields_for
-from .linalg import ExactMatrix, rank_mod_np
+from .linalg import rank_mod_np
 from .poly import HomogPoly, is_reduced, monomial_count
-from .syzygy import (SyzygyTriple, _slice_nullspace, _vector_to_triple,
-                     ar_slice, graded_multiplication_matrix, mdr,
-                     verify_syzygy)
+from .syzygy import (SyzygyTriple, _mdr_scan, _slice_nullspace,
+                     _vector_to_triple, ar_dimension, ar_slice,
+                     graded_multiplication_matrix, mdr, verify_syzygy)
 
 __all__ = [
     "MilnorProfile",
@@ -97,19 +95,15 @@ class FreenessReport:
 
 
 def milnor_hilbert(f: HomogPoly, k: int) -> int:
-    """Exact dimension of the degree-k piece of S/(f_x, f_y, f_z)."""
+    """Exact dimension of the degree-k piece of S/(f_x, f_y, f_z).  With
+    r = k-d+1, the Jacobian map S_r^3 -> S_k has kernel AR(f)_r, so its
+    image has dimension 3*dim S_r - dim AR(f)_r."""
     if k < 0:
         raise ValueError("negative degree")
-    d = f.degree
-    r = k - d + 1
+    r = k - f.degree + 1
     if r < 0:
         return monomial_count(k)
-    A = graded_multiplication_matrix(list(f.gradient()), r, k)
-    if isinstance(A, np.ndarray):
-        rank = rank_mod_np(A, f.field.p)
-    else:
-        rank = ExactMatrix(f.field, A).rank()
-    return monomial_count(k) - rank
+    return monomial_count(k) - 3 * monomial_count(r) + ar_dimension(f, r)
 
 
 def _profile(f: HomogPoly) -> MilnorProfile:
@@ -287,3 +281,28 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
         bounds=bounds,
         **describe(f, backend),
     )
+
+
+def _trichotomy(f: HomogPoly, u: int, build,
+                backend: Backend | None = None):
+    """The paper's case split for f with an explicit syzygy of degree u
+    (``build()`` returns it over f's field, for ``_mdr_scan``): mdr = u
+    ("generic"), or mdr = d-1-u and f free with exponents (d-1-u, u)
+    ("free"), or d-u <= mdr <= u-1 ("middle").  Returns (case, mdr, the
+    range the case allows for mdr, the ``classify`` report of the free
+    case or None); any other outcome raises InconsistencyError."""
+    d = f.degree
+    r = _mdr_scan(f, u, build, backend)
+    if r == u:
+        return "generic", r, (u, u), None
+    if r >= d - u:
+        return "middle", r, (d - u, u - 1), None
+    if r != d - 1 - u:
+        raise InconsistencyError(
+            f"mdr={r} < d-1-u={d - 1 - u} with a degree-{u} syzygy")
+    report = classify(f, backend)
+    if not (report.classification == "free" and report.exponents == (r, u)):
+        raise InconsistencyError(
+            f"mdr=d-1-u={r} promises free ({r}, {u}), got "
+            f"{report.classification} {report.exponents}")
+    return "free", r, (r, r), report

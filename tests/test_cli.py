@@ -120,6 +120,26 @@ def test_suite_bad_filter(capsys):
     assert code == 1
 
 
+def test_suite_refuses_field_and_primes(capsys):
+    # the criteria fix their own fields and backends
+    for flags in (["--field", "Fp:7"], ["--primes", "9"], ["--primes", "3"],
+                  ["--field", "Q", "--primes", "9"]):
+        code, out, err = run(capsys, "suite", "--filter", "1-ex1", *flags)
+        assert code == 1 and out == ""
+        assert "does not apply to suite" in err
+
+
+def test_pencil_classify_reads_primes(capsys):
+    code, out, _ = run(capsys, "pencil", "classify", "fermat:3", "--primes",
+                       "2", "--json")
+    assert code == 0
+    assert json.loads(out)["report"]["primes"] == make_backend(
+        primes=2, seed=0).primes
+    code, out, _ = run(capsys, "pencil", "classify", "fermat:3", "--json",
+                       "--seed", "5")
+    assert json.loads(out)["report"]["primes"] == make_backend(seed=5).primes
+
+
 def test_entry_point_matches_pyproject():
     import jacsyz.cli
     assert callable(jacsyz.cli.main)

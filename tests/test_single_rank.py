@@ -5,6 +5,7 @@ replaces, and against tau_combinatorial on line arrangements."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jacsyz import tjurina
@@ -12,7 +13,9 @@ from jacsyz.arrangements import LineArrangement, tau_combinatorial
 from jacsyz.backend import make_backend
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
-from jacsyz.poly import poly_parse
+from jacsyz.linalg import ExactMatrix, rank_mod_np
+from jacsyz.poly import monomial_count, poly_parse
+from jacsyz.syzygy import graded_multiplication_matrix
 from jacsyz.tangent import find_tangent_instance, tangent_arrangement
 from jacsyz.tjurina import global_tjurina, milnor_hilbert
 
@@ -117,3 +120,23 @@ def test_profile_takes_one_rank():
         prof = global_tjurina(f)
     assert calls == [10]
     assert prof.tau == milnor_hilbert(f, 10)
+
+
+def _reference_milnor_hilbert(f, k):
+    """dim S_k minus the rank of the Jacobian map S_{k-d+1}^3 -> S_k."""
+    r = k - f.degree + 1
+    if r < 0:
+        return monomial_count(k)
+    A = graded_multiplication_matrix(list(f.gradient()), r, k)
+    if isinstance(A, np.ndarray):
+        return monomial_count(k) - rank_mod_np(A, f.field.p)
+    return monomial_count(k) - ExactMatrix(f.field, A).rank()
+
+
+@pytest.mark.parametrize("text", ["x^4 + y^4 + z^4", "x*y*z*(x+y+z)",
+                                  "y^2*z - x^3", "x^2 - y^2", "x"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)])
+def test_milnor_hilbert_is_the_jacobian_rank(text, field):
+    f = poly_parse(text, field)
+    for k in range(3 * f.degree):
+        assert milnor_hilbert(f, k) == _reference_milnor_hilbert(f, k)

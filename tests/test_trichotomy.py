@@ -1,0 +1,322 @@
+"""The one seeded mdr scan and the one trichotomy, against the scan-based
+code they replaced.
+
+``_mdr_scan`` ranks AR_r only below the degree u of an explicit syzygy and
+certifies mdr = u with that syzygy, built lazily and verified in each
+computing field.  ``trichotomy``, ``thm11_trichotomy``, ``thm13_trichotomy``
+and ``multiplicity_bound_check`` all go through it.  The reference functions
+below scan mdr from degree 0 up to d-1 and then split the cases, as the
+code did before the seed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jacsyz import arrangements, pencils, syzygy
+from jacsyz.arrangements import (LineArrangement, multiplicity_bound_check,
+                                 point_syzygy, trichotomy)
+from jacsyz.backend import compute, make_backend
+from jacsyz.fields import PrimeField, QQ
+from jacsyz.fixtures import fixture_names, get_fixture
+from jacsyz.pencils import (base_locus_zero_dimensional, build_product,
+                            thm11_trichotomy, thm13_trichotomy)
+from jacsyz.poly import HomogPoly, monomials, poly_parse
+from jacsyz.syzygy import SyzygyTriple, _mdr_scan, ar_dimension, mdr
+from jacsyz.tjurina import InconsistencyError, classify, thmF_gate
+
+ARRANGEMENTS = [n for n in fixture_names()
+                if get_fixture(n).arrangement is not None]
+PENCIL_PRODUCTS = [n for n in fixture_names() if get_fixture(n).spec is not None]
+BACKEND = make_backend(seed=0)
+
+
+# -- the scan-based reference ------------------------------------------------
+
+def _reference_mdr_scan(f):
+    for r in range(f.degree):
+        if ar_dimension(f, r) > 0:
+            return r
+    raise ArithmeticError("no syzygy found up to degree d-1")
+
+
+def _reference_mdr(f, backend=None):
+    return compute(_reference_mdr_scan, f, backend)
+
+
+def _reference_trichotomy(A, p, backend=None):
+    """(case, r, m, d, report JSON) by a full scan, then the case split."""
+    m, d, f = p.multiplicity, A.d, A.f
+    r = _reference_mdr(f, backend)
+    if r > d - m:
+        raise InconsistencyError("mdr exceeds d-m")
+    if r == d - m:
+        return 0, r, m, d, None
+    if r <= m - 1:
+        if r != m - 1:
+            raise InconsistencyError("mdr < m-1 with mdr < d-m")
+        report = classify(f, backend)
+        if thmF_gate(d, r, report.tau) != "attained":
+            raise InconsistencyError("freeness bound not attained")
+        return 1, r, m, d, report.to_json()
+    if m <= r <= d - m - 1:
+        return 2, r, m, d, None
+    raise InconsistencyError("trichotomy fell through")
+
+
+def _reference_thm11(spec, backend):
+    P = spec.pencil
+    k, m = P.k, spec.m
+    if (spec.h is not None or m < 3 or k < 2
+            or not base_locus_zero_dimensional(P)):
+        raise ValueError("thm11 does not apply")
+    f = build_product(spec)
+    r = _reference_mdr(f, backend)
+    if r == 2 * k - 2:
+        return "thm11", "generic", r, (2 * k - 2, 2 * k - 2), None
+    if m != 3 or r > 2 * k - 3:
+        raise InconsistencyError("theorem violation")
+    if r <= k + 1:
+        if r != k + 1 or k < 4:
+            raise InconsistencyError("case (1) requires mdr = k+1, k >= 4")
+        report = classify(f, backend)
+        if not (report.classification == "free"
+                and report.exponents == (k + 1, 2 * k - 2)):
+            raise InconsistencyError("case (1) not free")
+        return "thm11", "free", r, (k + 1, k + 1), report.to_json()
+    if k >= 5 and k + 2 <= r <= 2 * k - 3:
+        return "thm11", "middle", r, (k + 2, 2 * k - 3), None
+    raise InconsistencyError("thm11 fell through")
+
+
+def _reference_thm13(spec, backend):
+    P = spec.pencil
+    k, m = P.k, spec.m
+    if spec.h is None or m < 2:
+        raise ValueError("thm13 does not apply")
+    f = build_product(spec)
+    d = f.degree
+    top = 2 * k - 2 + spec.h.degree
+    r = _reference_mdr(f, backend)
+    if r == top:
+        return "thm13", "generic", r, (top, top), None
+    if r > top:
+        raise InconsistencyError("mdr exceeds 2k-2+deg h")
+    lo = (m - 2) * k + 1
+    if r <= lo:
+        if r != lo:
+            raise InconsistencyError("case (1) requires mdr = (m-2)k+1")
+        report = classify(f, backend)
+        if not (report.classification == "free"
+                and report.exponents == (lo, d - lo - 1)):
+            raise InconsistencyError("case (1) not free")
+        return "thm13", "free", r, (lo, lo), report.to_json()
+    if lo + 1 <= r <= top - 1:
+        return "thm13", "middle", r, (lo + 1, top - 1), None
+    raise InconsistencyError("thm13 fell through")
+
+
+def _out(t):
+    return t.case, t.r, t.m, t.d, t.report.to_json() if t.report else None
+
+
+def _pencil_out(c):
+    return (c.theorem, c.case, c.r, tuple(c.bounds),
+            c.report.to_json() if c.report else None)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+# -- differential tests --------------------------------------------------------
+
+@pytest.mark.parametrize("name", ARRANGEMENTS)
+def test_every_fixture_lattice_point_matches_the_scan(name):
+    A = get_fixture(name).arrangement
+    for p in A.lattice().points:
+        assert _out(trichotomy(A, p, BACKEND)) == _reference_trichotomy(
+            A, p, BACKEND), p.point
+
+
+@pytest.mark.parametrize("name", ARRANGEMENTS)
+def test_multiplicity_bound_matches_the_scan(name):
+    A = get_fixture(name).arrangement
+    m, rhs, ok = multiplicity_bound_check(A, BACKEND)
+    r = _reference_mdr(A.f, BACKEND)
+    assert (m, rhs, ok) == (A.lattice().m_max, Fraction(2 * A.d, r + 2),
+                            m >= Fraction(2 * A.d, r + 2))
+
+
+covectors = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+    .filter(any), min_size=3, max_size=8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(covectors, st.sampled_from([QQ, PrimeField(1000003)]), st.randoms())
+def test_random_arrangements_match_the_scan(covs, field, rnd):
+    try:
+        A = LineArrangement(field, covs)
+    except ValueError:  # repeated line
+        return
+    points = A.lattice().points
+    backend = BACKEND if field == QQ else None
+    for p in (points[0], rnd.choice(points)):
+        assert _out(trichotomy(A, p, backend)) == _reference_trichotomy(
+            A, p, backend)
+    r = _reference_mdr(A.f, backend)
+    assert multiplicity_bound_check(A, backend)[1] == Fraction(2 * A.d, r + 2)
+
+
+@pytest.mark.parametrize("name", PENCIL_PRODUCTS)
+def test_pencil_fixtures_match_the_scan(name):
+    spec = get_fixture(name).spec
+    for new, ref in ((thm11_trichotomy, _reference_thm11),
+                     (thm13_trichotomy, _reference_thm13)):
+        got = _outcome(lambda s, b: _pencil_out(new(s, b)), spec, BACKEND)
+        assert got == _outcome(ref, spec, BACKEND)
+
+
+CURVES = [
+    "x^3 + y^3 + z^3", "x^4 + y^4 + z^4", "x^5 + y^5 + z^5 + x^2*y^2*z",
+    "x^2 - y^2", "x^3 - y^3", "x^4 - x*y^3", "x^2*y^2 + y^4",  # cones
+    "x^2*y", "x^3*z + y^4", "(x + y)^2*z^2 - x^4",  # non-reduced, singular
+    "x*y*z", "y^2*z - x^3", "y^6 + x^5*z", "x", "z", "x + 2*y + 3*z",
+]
+
+
+@pytest.mark.parametrize("text", CURVES)
+def test_mdr_matches_the_scan(text):
+    f = poly_parse(text)
+    assert mdr(f) == _reference_mdr_scan(f)
+    g = f.map_field(PrimeField(1000003))
+    assert mdr(g) == _reference_mdr_scan(g)
+    assert mdr(f, BACKEND) == _reference_mdr(f, BACKEND)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32))
+def test_mdr_of_random_forms_matches_the_scan(d, seed):
+    rng = random.Random(seed)
+    F = PrimeField(1000003)
+    f = HomogPoly(F, d, {m: rng.choice([0, 0, rng.randrange(1, 7)])
+                         for m in monomials(d)})
+    if f.degree != d:
+        return
+    assert mdr(f) == _reference_mdr_scan(f)
+
+
+# -- the seed: scanned below, built lazily, verified, refused after policy ----
+
+def _ranked_degrees(monkeypatch):
+    seen = []
+    real = syzygy.ar_dimension
+
+    def recording(f, r):
+        seen.append(r)
+        return real(f, r)
+    monkeypatch.setattr(syzygy, "ar_dimension", recording)
+    return seen
+
+
+def test_no_rank_at_or_above_the_seed_degree(monkeypatch):
+    seen = _ranked_degrees(monkeypatch)
+    assert mdr(poly_parse("x^4 + y^4 + z^4")) == 3  # the Koszul seed, d-1
+    assert seen == [0, 1, 2]
+    seen.clear()
+    A = get_fixture("ex1").arrangement  # case 0: r = d-m = 2
+    assert trichotomy(A, A.lattice().points[0]).r == 2
+    assert seen == [0, 1]
+
+
+def test_mdr_one_below_the_seed_is_found(monkeypatch):
+    seen = _ranked_degrees(monkeypatch)
+    assert mdr(poly_parse("x*y*z")) == 1  # d-2
+    assert seen == [0, 1]
+    # one triple point, twelve double points: mdr = d-3 = 3
+    A = LineArrangement(QQ, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1),
+                             (1, 2, 5), (1, -3, 7)])
+    top, double = A.lattice().points[0], A.lattice().points[-1]
+    assert (top.multiplicity, double.multiplicity) == (3, 2)
+    assert _out(trichotomy(A, top)) == (0, 3, 3, 6, None)
+    assert _out(trichotomy(A, double)) == (2, 3, 2, 6, None)  # r = u-1
+
+
+def test_seed_is_built_once_and_only_when_needed(monkeypatch):
+    calls = []
+    real = arrangements._point_triple
+
+    def counting(A, p):
+        calls.append(p.point)
+        return real(A, p)
+    monkeypatch.setattr(arrangements, "_point_triple", counting)
+    A = get_fixture("ex1").arrangement
+    assert trichotomy(A, A.lattice().points[0], BACKEND).case == 0
+    assert len(calls) == 1  # one build over Q, verified in three primes
+    calls.clear()
+    A = get_fixture("ex3").arrangement
+    assert trichotomy(A, A.lattice().points[-1], BACKEND).case == 2
+    assert calls == []  # the middle case never needs the seed
+
+
+def _smooth_cubic_seed(u):
+    return lambda: SyzygyTriple(*(poly_parse(t) for t in u), 3)
+
+
+@pytest.mark.parametrize("seed", [
+    ("x^2", "y^2", "z^2"),   # degree 2, not a syzygy
+    ("x*y", "0", "0"),       # degree 2, not a syzygy
+    ("0", "0", "0"),         # zero triple
+    ("x", "-y", "0"),        # wrong degree
+])
+def test_a_bad_seed_is_refused(seed):
+    f = poly_parse("x^3 + y^3 + z^3")  # mdr 2: nothing below the seed
+    with pytest.raises(ArithmeticError, match="seed syzygy fails"):
+        _mdr_scan(f, 2, _smooth_cubic_seed(seed))
+    with pytest.raises(ArithmeticError, match="seed syzygy fails"):
+        _mdr_scan(f, 2, _smooth_cubic_seed(seed), BACKEND)
+    assert _mdr_scan(f, 2, _smooth_cubic_seed(("y^2", "-x^2", "0"))) == 2
+
+
+def test_a_bad_point_seed_fails_trichotomy(monkeypatch):
+    A = get_fixture("ex1").arrangement  # case 0 needs the seed
+    p = A.lattice().points[0]
+    good = point_syzygy(A, p)
+    bad = SyzygyTriple(good.a, good.b, good.c + good.a, good.f_degree)
+    monkeypatch.setattr(arrangements, "_point_triple", lambda A, p: bad)
+    with pytest.raises(ArithmeticError, match="seed syzygy fails"):
+        trichotomy(A, p, BACKEND)
+    with pytest.raises(ArithmeticError, match="seed syzygy fails"):
+        multiplicity_bound_check(A, BACKEND)
+
+
+def test_small_primes_are_refused_before_a_seed_is_built(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("seed built before the field policy")
+    monkeypatch.setattr(arrangements, "_point_triple", forbidden)
+    monkeypatch.setattr(pencils, "wedge_syzygy", forbidden)
+    small = make_backend(primes=[1000003, 5])
+    A = get_fixture("ex1").arrangement
+    with pytest.raises(ValueError, match="p <= d"):
+        trichotomy(A, A.lattice().points[0], small)
+    with pytest.raises(ValueError, match="p <= d"):
+        multiplicity_bound_check(A, small)
+    with pytest.raises(ValueError, match="p <= d"):
+        thm11_trichotomy(get_fixture("ex12i:3").spec, small)
+
+
+def test_free_case_is_exactly_d_minus_1_minus_u():
+    A = get_fixture("ex2a").arrangement  # d = 8, m = 4: free (3, 4)
+    t = trichotomy(A, A.lattice().points[0], BACKEND)
+    assert (t.case, t.r) == (1, 3)
+    assert t.report.exponents == (3, 4)
+    c = thm13_trichotomy(get_fixture("ex14i:3").spec)
+    assert (c.case, c.r, c.bounds) == ("free", 4, (4, 4))
+    assert c.report.exponents == (4, 5)
