@@ -156,7 +156,7 @@ class PrimeField(Field):
             den = x.denominator % p
             if den == 0:
                 raise FieldError(f"denominator of {x} vanishes mod {p}")
-            return x.numerator * pow(den, p - 2, p) % p
+            return x.numerator * pow(den, -1, p) % p
         if isinstance(x, str):
             return self.coerce(Fraction(x))
         raise FieldError(f"cannot coerce {x!r} into GF({p})")
@@ -182,7 +182,7 @@ class PrimeField(Field):
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"division by zero residue mod {self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0

@@ -3,9 +3,16 @@
 Two eliminations, one per arithmetic:
 
 * ``_echelon_mod_np``: a vectorized numpy int64 kernel over GF(p) for
-  p < 2^31 (products stay below 2^63, so the modular arithmetic is exact).
-  ``rank_mod_np`` counts its pivots; ``nullspace_mod_np`` reads the basis
-  from its reduced form.
+  p < 2^31.  ``rank_mod_np`` counts its pivots; ``nullspace_mod_np`` reads
+  the basis from its reduced form.  A row update ``a - f*b`` on residues
+  lies in (-(p-1)^2, p), inside (-2^62, 2^31), and is reduced by
+  ``a - (a // p)*p``: numpy divides an int64 array by a scalar with a
+  precomputed multiply-and-shift (libdivide), about twice as fast as ``%``,
+  which divides each entry in hardware.  Floor division, unlike truncation,
+  gives a result in [0, p) for a negative ``a`` too, and the quotient's
+  product with p lies in (-2^62, 2^31), so nothing overflows.  The rows to
+  update are gathered in blocks of at most ``_BLOCK`` entries, which bounds
+  the kernel's temporaries, and so peak memory, on large matrices.
 * ``ExactMatrix._rref``: a generic row reduction over any exact field
   (Fractions over Q, Python ints mod p for p >= 2^31).  ``rank``,
   ``nullspace`` and ``det`` all read from it.
@@ -27,6 +34,11 @@ __all__ = ["ExactMatrix", "rank_mod_np", "nullspace_mod_np"]
 # numpy kernel for GF(p)
 # ---------------------------------------------------------------------------
 
+# entries per row-update block: the update's two temporaries stay at 256 KB
+# each however large the matrix, next to A and its copy R
+_BLOCK = 1 << 15
+
+
 def _echelon_mod_np(A: np.ndarray, p: int, reduced: bool):
     """Row echelon form of A over GF(p) with pivots scaled to 1; the rows
     above each pivot are cleared too when ``reduced``.  A is int64 with
@@ -38,21 +50,29 @@ def _echelon_mod_np(A: np.ndarray, p: int, reduced: bool):
         r = len(pivots)
         if r == rows:
             break
-        nz = np.flatnonzero(R[r:, c])
+        nz = R[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
+        if nz[0]:
+            i = r + int(nz[0])
             R[[r, i]] = R[[i, r]]
-        R[r, c:] = R[r, c:] * pow(int(R[r, c]), p - 2, p) % p
-        top = 0 if reduced else r + 1
-        block = R[top:, c:]
-        mask = block[:, 0] != 0
+        prow = R[r, c:]
+        prow[:] = prow * pow(int(prow[0]), -1, p) % p
+        # below the pivot, only the rows r + nz[1:] are nonzero in column c:
+        # the row swapped down to r + nz[0] was zero there
+        idx = nz[1:] + r
         if reduced:
-            mask[r] = False  # the pivot row
-        if mask.any():
-            sub = block[mask]
-            block[mask] = (sub - sub[:, :1] * R[r, c:]) % p
+            idx = np.concatenate((R[:r, c].nonzero()[0], idx))
+        step = max(1, _BLOCK // prow.size)
+        for k in range(0, idx.size, step):
+            rk = idx[k:k + step]
+            sub = R[rk, c:]
+            t = sub[:, :1] * prow
+            sub -= t  # in (-p^2, p)
+            np.floor_divide(sub, p, out=t)
+            t *= p
+            sub -= t  # in [0, p)
+            R[rk, c:] = sub
         pivots.append(c)
     return R, pivots
 

@@ -496,8 +496,9 @@ def base_locus_zero_dimensional(P: PencilSpec) -> bool:
 
 def genericity_check(P: PencilSpec, seed: int = 0) -> bool:
     """True iff the two generators meet transversely in exactly k^2 points:
-    constant gcd, and (after a random determinant-1 change) a squarefree
-    degree-k^2 resultant in one variable."""
+    constant gcd, and (after one of ``GENERICITY_RETRIES`` random
+    determinant-1 changes) a squarefree degree-k^2 resultant in one
+    variable."""
     if not base_locus_zero_dimensional(P):
         return False
     F = P.field
@@ -520,9 +521,10 @@ def genericity_check(P: PencilSpec, seed: int = 0) -> bool:
         if not ok:
             continue
         r = uni_interpolate(F, pts)
-        if r.degree != k * k:
-            continue
-        return r.gcd(r.derivative()).degree == 0
+        # a repeated root may be two base points sharing a projection, so
+        # only a squarefree resultant decides; a tangency repeats under all
+        if r.degree == k * k and r.gcd(r.derivative()).degree == 0:
+            return True
     return False
 
 

@@ -5,14 +5,17 @@ printed certificates are byte-stable.
 
 Products over GF(p) with p < 2^31 run on an int64 numpy grid (``_mul_int64``):
 a form of degree d is a (d+1) x (d+1) array indexed by the exponents (j, k)
-of y and z.  Over Q and over GF(p) with p >= 2^31 the product is the
-generic loop over pairs of terms (``_mul_terms``).  A polynomial computes its
+of y and z.  Over Q the product clears denominators and multiplies Python
+ints (``_mul_rational``); over GF(p) with p >= 2^31 it is the generic loop
+over pairs of terms (``_mul_terms``).  A polynomial computes its
 gradient once and keeps it; nothing changes ``coeffs`` after construction.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -196,6 +199,8 @@ class HomogPoly:
             return HomogPoly.zero(self.field)
         if self.field.int64:
             return _mul_int64(self, other)
+        if self.field.char == 0:
+            return _mul_rational(self, other)
         return _mul_terms(self, other)
 
     def scale(self, c):
@@ -422,6 +427,25 @@ def _mul_terms(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     return HomogPoly._trusted(F, a.degree + b.degree, out)
 
 
+def _mul_rational(a: HomogPoly, b: HomogPoly) -> HomogPoly:
+    """Product of two nonzero forms over Q in Python ints: each factor
+    times the lcm of its denominators, every pair of terms, then one
+    Fraction per output term."""
+    da = lcm(*(c.denominator for c in a.coeffs.values()))
+    db = lcm(*(c.denominator for c in b.coeffs.values()))
+    nb = [(e, c.numerator * (db // c.denominator))
+          for e, c in b.coeffs.items()]
+    out: dict = {}
+    for (x1, y1, z1), c1 in a.coeffs.items():
+        c1 = c1.numerator * (da // c1.denominator)
+        for (x2, y2, z2), c2 in nb:
+            e = (x1 + x2, y1 + y2, z1 + z2)
+            out[e] = out.get(e, 0) + c1 * c2
+    den = da * db
+    return HomogPoly._trusted(a.field, a.degree + b.degree, {
+        e: Fraction(v, den) for e, v in out.items() if v})
+
+
 def _mul_int64(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     """Product of two nonzero forms over GF(p), p < 2^31, on the (j, k)
     exponent grid: one shifted ``win += c*B; win %= p`` per term of the
@@ -548,7 +572,6 @@ class _Parser:
                 den = self.integer()
                 if den == 0:
                     self.error("zero denominator")
-                from fractions import Fraction
                 c = self.field.coerce(Fraction(num, den))
             else:
                 c = self.field.coerce(num)

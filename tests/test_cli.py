@@ -95,6 +95,15 @@ def test_pencil_classify(capsys):
     assert data["free"] and data["tau"] == 48
 
 
+def test_pencil_classify_generic_for_every_seed(capsys):
+    # a repeated root under one coordinate change is not a tangency: the
+    # genericity check goes on to the next change
+    for seed in range(8):
+        code, out, err = run(capsys, "pencil", "classify", "fermat:3",
+                             "--seed", str(seed))
+        assert code == 0, (seed, err)
+
+
 def test_pencil_spec_json_input(capsys, tmp_path):
     from jacsyz.fixtures import get_fixture
     spec = get_fixture("ex12ii").spec

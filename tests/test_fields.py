@@ -57,6 +57,18 @@ def test_prime_field_coerces_fractions_exactly():
     assert F.mul(half, F.coerce(2)) == F.one()
 
 
+def test_prime_field_inverse_and_its_refusals():
+    F = PrimeField(2**61 - 1)
+    for a in (1, 2, F.p - 1, -3, 5 * F.p + 7):
+        assert F.mul(F.inv(a), F.coerce(a)) == 1
+        assert F.mul(F.coerce(Fraction(1, a)), F.coerce(a)) == 1
+    for a in (0, F.p, -2 * F.p):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(a)
+    with pytest.raises(FieldError):
+        F.coerce(Fraction(1, 3 * F.p))
+
+
 def test_parse_field_tag():
     assert parse_field_tag("Q") is QQ
     F = parse_field_tag(f"Fp:{P}")

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from jacsyz import poly as poly_module
 from jacsyz.backend import make_backend
 from jacsyz.fields import PrimeField, QQ
-from jacsyz.poly import (HomogPoly, _mul_int64, _mul_terms, monomial_count,
-                         monomial_index, monomials, poly_parse)
+from jacsyz.poly import (HomogPoly, _mul_int64, _mul_rational, _mul_terms,
+                         monomial_count, monomial_index, monomials, poly_parse)
 from jacsyz.syzygy import graded_multiplication_matrix
 from jacsyz.tjurina import classify
 
@@ -97,8 +97,8 @@ def test_fill_refuses_a_mixed_degree():
 
 # grid product against the term-by-term product ------------------------------
 
-def forms(field, max_degree=6):
-    mons = st.integers(0, max_degree).map(monomials)
+def forms(field, max_degree=6, min_degree=0):
+    mons = st.integers(min_degree, max_degree).map(monomials)
     if isinstance(field, PrimeField):
         scalar = st.one_of(st.integers(0, field.p - 1),
                            st.sampled_from([1, field.p - 1]))
@@ -139,6 +139,21 @@ def test_grid_product_of_dense_forms_and_constants(field):
                  (dense, HomogPoly.constant(field, 2)),
                  (HomogPoly.constant(field, 3), HomogPoly.constant(field, 4))]:
         assert _mul_int64(a, b) == _mul_terms(a, b) == a * b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rational_product_matches_term_product(data):
+    # non-integer coefficients; in (u + v)(u - v) every cross term cancels
+    d = data.draw(st.integers(0, 5))
+    u, v = data.draw(forms(QQ, d, d)), data.draw(forms(QQ, d, d))
+    a, b = u + v, u - v
+    if a.is_zero() or b.is_zero():
+        return
+    product = _mul_rational(a, b)
+    assert product.coeffs == _mul_terms(a, b).coeffs
+    assert product == a * b == _mul_terms(u, u) - _mul_terms(v, v)
+    assert all(type(c) is Fraction and c for c in product.coeffs.values())
 
 
 @pytest.mark.parametrize("field", [BIG, QQ], ids=str)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacsyz import linalg
 from jacsyz.fields import PrimeField, QQ, random_primes
 from jacsyz.linalg import (ExactMatrix, _echelon_mod_np, nullspace_mod_np,
                            rank_mod_np)
@@ -90,6 +92,95 @@ def test_rref_idempotent(rows):
     E, piv3 = _echelon_mod_np(A, P, reduced=False)
     assert piv3 == piv and rank_mod_np(R, P) == len(piv)
     assert (_echelon_mod_np(E, P, reduced=True)[0] == R).all()
+
+
+# the int64 kernel against the remainder-based kernel it replaced -----------
+
+LIMIT = 2**31 - 1  # the largest prime of the int64 kernel
+
+
+def _reference_echelon(A, p, reduced):
+    """The elimination reducing by ``% p`` (a hardware division per entry),
+    with the Fermat inverse and a boolean-mask gather of the rows to update.
+    ``_echelon_mod_np`` must return the same (R, pivots) bit for bit."""
+    R = A.copy()
+    rows, cols = R.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), p - 2, p) % p
+        top = 0 if reduced else r + 1
+        block = R[top:, c:]
+        mask = block[:, 0] != 0
+        if reduced:
+            mask[r] = False
+        if mask.any():
+            sub = block[mask]
+            block[mask] = (sub - sub[:, :1] * R[r, c:]) % p
+        pivots.append(c)
+    return R, pivots
+
+
+def _assert_kernel_matches_reference(A, p):
+    for reduced in (False, True):
+        R0, piv0 = _reference_echelon(A, p, reduced)
+        # a block of 3 entries splits every row update into several blocks
+        for block in (linalg._BLOCK, 3):
+            with mock.patch.object(linalg, "_BLOCK", block):
+                R, piv = _echelon_mod_np(A, p, reduced)
+            assert R.dtype == R0.dtype == np.int64
+            assert piv == piv0 and np.array_equal(R, R0)
+
+
+def residue_matrices(p, size=8):
+    entry = st.one_of(st.just(0), st.integers(0, p - 1),
+                      st.sampled_from([1, p - 2, p - 1]))
+    return st.integers(1, size).flatmap(
+        lambda n: st.integers(1, size).flatmap(
+            lambda m: st.lists(st.lists(entry, min_size=m, max_size=m),
+                               min_size=n, max_size=n))).map(
+        lambda rows: np.array(rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [5, P, LIMIT], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_matches_remainder_reference(p, data):
+    _assert_kernel_matches_reference(data.draw(residue_matrices(p)), p)
+
+
+def test_kernel_matches_reference_on_the_largest_entries():
+    # entries p-1 and p-2 give the largest products, (p-1)^2 < 2^62, and
+    # negative differences before each reduction
+    rng = np.random.default_rng(3)
+    for n, m in [(12, 20), (20, 12), (16, 16), (1, 9), (9, 1)]:
+        A = LIMIT - rng.integers(1, 3, size=(n, m))
+        _assert_kernel_matches_reference(A, LIMIT)
+        A[n // 2:] = A[:n - n // 2]  # repeated rows: rank at most ceil(n/2)
+        _assert_kernel_matches_reference(A, LIMIT)
+
+
+def test_kernel_matches_reference_with_row_swaps():
+    # column c is zero on the pivot row, so a row below is swapped up
+    rng = np.random.default_rng(4)
+    for n in (2, 5, 9):
+        anti = np.fliplr(np.diag(LIMIT - rng.integers(1, 3, size=n)))
+        _assert_kernel_matches_reference(anti, LIMIT)
+        sparse = rng.integers(0, LIMIT, size=(n, 2 * n))
+        sparse[rng.random((n, 2 * n)) < 0.6] = 0
+        _assert_kernel_matches_reference(sparse[rng.permutation(n)], LIMIT)
+    pad = np.zeros((6, 8), dtype=np.int64)
+    pad[5] = LIMIT - 1  # the only nonzero row is the last one
+    pad[3, 4:] = LIMIT - 2
+    _assert_kernel_matches_reference(pad, LIMIT)
 
 
 def _low_rank_rows(rng, n, m, k, p):

@@ -120,6 +120,10 @@ def test_genericity():
     assert genericity_check(_hesse())
     degenerate = PencilSpec(poly_parse("x^2"), poly_parse("y^2"))
     assert not genericity_check(degenerate)
+    # y = 0 is tangent to the conic at (0:0:1): four base points counted
+    # with multiplicity, three distinct, so every resultant repeats a root
+    tangent = PencilSpec(poly_parse("x^2 - y*z"), poly_parse("y*(x + y + z)"))
+    assert not any(genericity_check(tangent, seed) for seed in range(4))
 
 
 def test_split_members_refuses_a_non_reduced_member():
