@@ -87,12 +87,34 @@ class LineArrangement:
 
     @property
     def f(self) -> HomogPoly:
+        """The product of the lines; it records this arrangement, so that
+        ``classify`` decides it by ``_route``."""
         if self._f is None:
             acc = HomogPoly.constant(self.field, 1)
             for line in self.lines:
                 acc = acc * line.form()
+            acc._arrangement = self
             self._f = acc
         return self._f
+
+    def _reduced_in(self, F: Field) -> bool:
+        """Whether the image of f in F is reduced.  f is the product of the
+        normalized line forms, so its image is the product of their images,
+        which stay normalized: it is reduced iff no two of them coincide."""
+        return len({tuple(F.coerce(v) for v in line.covector)
+                    for line in self.lines}) == self.d
+
+    def _route(self):
+        """The paper's route for ``classify``: (u, seed, tau), where the
+        point syzygy of a point of highest multiplicity m, built by
+        ``seed()``, has degree u = d - m, and tau = sum (m_p - 1)^2.  None
+        when there is no intersection point (one line)."""
+        points = self.lattice().points
+        if not points:
+            return None
+        top = points[0]
+        return (self.d - top.multiplicity, lambda: _point_triple(self, top),
+                tau_combinatorial(self))
 
     def lattice(self) -> "IntersectionLattice":
         if self._lattice is None:
@@ -121,6 +143,13 @@ class IntersectionLattice:
                 return p
         return None
 
+    def top(self) -> LatticePoint:
+        """A point of highest multiplicity; ValueError when there is none."""
+        if not self.points:
+            raise ValueError("the arrangement has no intersection point: "
+                             "it is a single line")
+        return self.points[0]
+
 
 def lattice(A: LineArrangement) -> IntersectionLattice:
     """All pairwise intersection points with multiplicities and incidences;
@@ -138,7 +167,9 @@ def lattice(A: LineArrangement) -> IntersectionLattice:
         raise ArithmeticError(
             "lattice bookkeeping failed: sum C(m_p,2) != C(d,2)")
     points.sort(key=lambda p: (-p.multiplicity, _sort_key(F, p.point)))
-    return IntersectionLattice(tuple(points), max(p.multiplicity for p in points))
+    # one line has no intersection point; it is its own highest multiplicity
+    return IntersectionLattice(
+        tuple(points), max((p.multiplicity for p in points), default=1))
 
 
 def _sort_key(field, vec):
@@ -216,7 +247,7 @@ def multiplicity_bound_check(A: LineArrangement,
                              backend: Backend | None = None):
     """m(A) >= 2d/(mdr+2), compared exactly over the rationals; mdr is
     scanned below the syzygy of a point of highest multiplicity."""
-    top = A.lattice().points[0]
+    top = A.lattice().top()
     m = top.multiplicity
     r = _mdr_scan(A.f, A.d - m, lambda: _point_triple(A, top), backend)
     rhs = Fraction(2 * A.d, r + 2)
@@ -286,6 +317,7 @@ def cone_construction(A: LineArrangement, apex):
     for line in A.lines:
         if line.contains(apex):
             raise ValueError("apex lies on the arrangement")
+    A.lattice().top()  # ValueError for a single line: nothing to join
     added = []
     for p in A.lattice().points:
         cov = _normalize(F, _cross(F, apex, p.point))

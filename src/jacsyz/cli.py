@@ -178,7 +178,7 @@ def cmd_arrangement(args) -> int:
             if p is None:
                 raise InputError(f"{args.point} is not a lattice point")
         else:
-            p = lat.points[0]
+            p = lat.top()
         tr = trichotomy(A, p, backend)
         payload = {"case": tr.case, "r": tr.r, "m": tr.m, "d": tr.d}
         if tr.report:

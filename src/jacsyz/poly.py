@@ -9,6 +9,12 @@ of y and z.  Over Q the product clears denominators and multiplies Python
 ints (``_mul_rational``); over GF(p) with p >= 2^31 it is the generic loop
 over pairs of terms (``_mul_terms``).  A polynomial computes its
 gradient once and keeps it; nothing changes ``coeffs`` after construction.
+
+The product that ``LineArrangement.f`` returns also records its arrangement
+(``_arrangement``), so that ``classify`` can take the paper's route for it.
+Every other polynomial, including one derived from that product by
+arithmetic, ``map_field``, ``scale`` or parsing, has ``_arrangement`` None;
+equality and hashing ignore it.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ class HomogPoly:
     """Homogeneous polynomial in x, y, z: table from exponent triples to
     nonzero scalars.  The zero polynomial has empty table and degree -1."""
 
-    __slots__ = ("field", "degree", "coeffs", "_gradient")
+    __slots__ = ("field", "degree", "coeffs", "_gradient", "_arrangement")
 
     def __init__(self, field: Field, degree: int, coeffs: dict):
         clean = {}
@@ -92,6 +98,7 @@ class HomogPoly:
         self.degree = degree
         self.coeffs = clean
         self._gradient = None
+        self._arrangement = None
 
     @classmethod
     def _trusted(cls, field: Field, degree: int, coeffs: dict):
@@ -102,6 +109,7 @@ class HomogPoly:
         self.degree = degree if coeffs else -1
         self.coeffs = coeffs
         self._gradient = None
+        self._arrangement = None
         return self
 
     # -- constructors -------------------------------------------------

@@ -20,12 +20,14 @@ AR_r only for r < u, since AR_r != 0 implies AR_{r+1} != 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
 from .backend import Backend, compute
-from .fields import Field
+from .fields import Field, QQ
 from .linalg import ExactMatrix, nullspace_mod_np, rank_mod_np
 from .poly import HomogPoly, homog_gcd, monomial_count, monomials, poly_parse
 
@@ -215,14 +217,29 @@ def _koszul(f: HomogPoly) -> SyzygyTriple:
     return SyzygyTriple(fy, -fx, zero, f.degree)
 
 
+def _primitive(s: SyzygyTriple) -> SyzygyTriple:
+    """A triple over Q scaled to integer coefficients with gcd 1 (the zero
+    triple as it is): the image of a nonzero one mod every prime is nonzero
+    and exists, whereas s itself may have that prime in a denominator."""
+    coeffs = [c for q in s.components() for c in q.coeffs.values()]
+    if not coeffs:
+        return s
+    den = lcm(*(c.denominator for c in coeffs))
+    num = gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
+    return SyzygyTriple(*(q.scale(Fraction(den, num)) for q in s.components()),
+                        s.f_degree)
+
+
 def _mdr_scan(f: HomogPoly, u: int, build,
               backend: Backend | None = None) -> int:
     """mdr(f) given a seed: a syzygy of degree u that ``build()`` returns
     over f's field.  In each field of ``compute``: the first r < u with
-    AR_r != 0, else u, once the seed (built at most once) is mapped into
-    that field and verified there; ArithmeticError if it is zero, of another
-    degree or no syzygy.  No rank at u or above is taken."""
-    seed = lru_cache(maxsize=None)(build)
+    AR_r != 0, else u, once the seed (built at most once, made primitive
+    over Q) is mapped into that field and verified there; ArithmeticError
+    if it is zero, of another degree or no syzygy.  No rank at u or above
+    is taken."""
+    seed = lru_cache(maxsize=None)(
+        lambda: _primitive(build()) if f.field == QQ else build())
 
     def scan(g: HomogPoly) -> int:
         for r in range(u):

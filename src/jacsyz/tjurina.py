@@ -1,28 +1,50 @@
 """Global Tjurina numbers, the du Plessis-Wall bounds, and the free /
 nearly free classification.
 
-``classify`` decides a free curve by a certificate (Saito's criterion, in the
-plane-curve form of Dimca-Sticlaru): with r = mdr(f) and 2r <= d-1, f is free
-with exponents (r, d-1-r) iff syzygies rho1, rho2 of degrees r and d-1-r have
-rho1 x rho2 = c * grad f with c != 0, and then tau = (d-1)^2 - r(d-1-r).  The
-criterion needs f reduced.  Both syzygies are re-verified exactly.
+``classify`` computes r = mdr(f) and tau, and reads the class and exponents
+from them by the du Plessis-Wall equalities (du Plessis-Wall 1999): a cone
+iff r = 0; free with exponents (r, d-1-r) iff 2r <= d-1 and
+tau = (d-1)^2 - r(d-1-r); nearly free with exponents (r, d-r) iff 2r <= d
+and tau = (d-1)^2 - r(d-r-1) - 1; neither otherwise.  It gets (r, tau) by
+one of three routes:
+
+- Arrangement.  The polynomial that ``LineArrangement.f`` returns records
+  its arrangement.  Its mdr is scanned only below u = d - m_max, where the
+  point syzygy of a point of highest multiplicity is the seed of
+  ``_mdr_scan`` (voted like every mdr), and tau = sum (m_p - 1)^2 over the
+  intersection points, exact in the arrangement's field.  Each point is an
+  ordinary m-fold point: locally m concurrent lines, a homogeneous
+  singularity, whose Tjurina number equals its Milnor number (m - 1)^2
+  (Euler's relation puts the local equation in its Jacobian ideal, since
+  the characteristic is 0 or p > d >= m).  No Milnor-algebra rank is taken.
+- Saito.  Every other curve gets mdr from the scan seeded by the Koszul
+  syzygy at d-1.  A free curve is proved by Saito's criterion, in the
+  plane-curve form of Dimca-Sticlaru: with 2r <= d-1, f is free with
+  exponents (r, d-1-r) iff syzygies rho1, rho2 of degrees r and d-1-r have
+  rho1 x rho2 = c * grad f with c != 0, and then tau = (d-1)^2 - r(d-1-r).
+  The criterion needs f reduced.  Both syzygies are re-verified exactly.
+- Hilbert.  The remaining curves (cones, nearly free and neither curves)
+  get tau from the Hilbert function of the Milnor algebra
+  M(f) = S / (f_x, f_y, f_z): for a reduced curve dim M(f)_k = tau for every
+  k > 3(d-2) (Dimca, "Syzygies of Jacobian ideals and defects of linear
+  systems", 2013), so tau is the one rank at k = 3d-5.  At k = 3d-6 a smooth
+  curve still has its socle.  ``global_tjurina`` always takes this route.
+
+The certificate is the first basis vector of AR(f)_r in the first computing
+field on every route (the Saito route's rho1 is that vector), so a curve
+gets the same report whichever route decides it.
 
 ``classify`` and ``global_tjurina`` share one input gate, run before any
 linear algebra.  It takes the fields from ``backend.fields_for``, which
 refuses (ValueError, CLI exit 1) GF(p) with p <= d, where a partial
-derivative can vanish identically; and it refuses f unless ``is_reduced``
-proves its image in the first of those fields reduced (f itself, or its
-image mod the first voting prime: a square factor g^2 of a rational curve
-stays a square factor of the same degree mod p, so a reduced image proves
-the rational curve reduced).  A non-reduced image is refused even when f
-over Q is reduced and the prime is bad for it: the vote would compute in
-that image.
-
-Every other curve (cones, nearly free and neither curves) gets tau from the
-Hilbert function of the Milnor algebra M(f) = S / (f_x, f_y, f_z): for a
-reduced curve dim M(f)_k = tau for every k > 3(d-2) (Dimca, "Syzygies of
-Jacobian ideals and defects of linear systems", 2013), so tau is the one
-rank at k = 3d-5.  At k = 3d-6 a smooth curve still has its socle.
+derivative can vanish identically; and it refuses f unless its image in the
+first of those fields is reduced (f itself, or its image mod the first
+voting prime: a square factor g^2 of a rational curve stays a square factor
+of the same degree mod p, so a reduced image proves the rational curve
+reduced).  ``is_reduced`` decides that, except for the product of an
+arrangement's lines, whose image is reduced iff its lines stay distinct.  A
+non-reduced image is refused even when f over Q is reduced and the prime is
+bad for it: the vote would compute in that image.
 """
 
 from __future__ import annotations
@@ -124,7 +146,8 @@ def _admit(f: HomogPoly, backend: Backend | None) -> HomogPoly:
     image = f if F == f.field else f.map_field(F)
     # a square factor g^2 of a rational f stays a square factor of the same
     # degree mod p, so a reduced image proves f reduced
-    if not is_reduced(image):
+    A = f._arrangement
+    if not (A._reduced_in(F) if A is not None else is_reduced(image)):
         if image is not f:
             raise NotReducedError(
                 f"f is not reduced mod {F.p}: it has a repeated factor, "
@@ -225,10 +248,9 @@ def _saito_verdict(f: HomogPoly, r: int) -> _Verdict | None:
     return None
 
 
-def _hilbert_verdict(f: HomogPoly, r: int) -> _Verdict:
-    """Class from the Hilbert-function tau; no certificate."""
-    d = f.degree
-    tau = _profile(f).tau
+def _dpw_verdict(d: int, r: int, tau: int) -> _Verdict:
+    """Class and exponents from (mdr, tau) by the du Plessis-Wall
+    equalities; no certificate."""
     if r == 0:
         return _Verdict(r, tau, "cone", None)
     if 2 * r <= d - 1 and tau == (d - 1) ** 2 - r * (d - 1 - r):
@@ -236,6 +258,11 @@ def _hilbert_verdict(f: HomogPoly, r: int) -> _Verdict:
     if 2 * r <= d and tau == (d - 1) ** 2 - r * (d - r - 1) - 1:
         return _Verdict(r, tau, "nearly-free", (r, d - r))
     return _Verdict(r, tau, "neither", None)
+
+
+def _hilbert_verdict(f: HomogPoly, r: int) -> _Verdict:
+    """Class from the Hilbert-function tau; no certificate."""
+    return _dpw_verdict(f.degree, r, _profile(f).tau)
 
 
 def _verdict(f: HomogPoly) -> _Verdict:
@@ -246,11 +273,22 @@ def _verdict(f: HomogPoly) -> _Verdict:
 
 def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     """Compute r = mdr(f) and tau, then decide free / nearly free / neither /
-    cone with exponents and a syzygy certificate.  Free curves are proved by
-    a verified Saito pair where it applies; the rest use the Hilbert path."""
+    cone with exponents and a syzygy certificate.
+
+    The product of a ``LineArrangement``'s lines takes the arrangement
+    route: mdr scanned below the degree d - m_max of a point syzygy, and the
+    combinatorial tau = sum (m_p - 1)^2, with no Milnor-algebra rank.  Any
+    other polynomial, including the same coefficients given as text, takes
+    the Saito route where it proves a free curve and the Hilbert route
+    otherwise.  All routes give the same report; see the module docstring."""
     d = f.degree
     image = _admit(f, backend)
-    verdict = compute(_verdict, f, backend, what="classification")
+    route = f._arrangement._route() if f._arrangement is not None else None
+    if route is None:
+        verdict = compute(_verdict, f, backend, what="classification")
+    else:
+        u, seed, tau = route
+        verdict = _dpw_verdict(d, _mdr_scan(f, u, seed, backend), tau)
     r, tau = verdict.mdr, verdict.tau
 
     certificate = verdict.certificate

@@ -56,6 +56,22 @@ def test_arrangement_file_input(capsys, tmp_path):
     assert code == 0 and "free" in out
 
 
+def test_one_line_arrangement(capsys, tmp_path):
+    path = tmp_path / "line.txt"
+    path.write_text("1 2 3\n")
+    code, out, _ = run(capsys, "arrangement", "lattice", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"d": 1, "m": 1, "points": [],
+                               "tau_combinatorial": 0}
+    for verb in ("trichotomy", "bound"):
+        code, out, err = run(capsys, "arrangement", verb, str(path))
+        assert code == 1 and out == "" and "no intersection point" in err
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["class"], data["mdr"], data["tau"]) == ("cone", 0, 0)
+
+
 def test_arrangement_trichotomy_bad_point(capsys):
     code, _, err = run(capsys, "arrangement", "trichotomy", "ex1",
                        "--point", "1,2,5")

@@ -1,6 +1,7 @@
-"""Saito-criterion fast path of ``classify``, tested against the Hilbert
-oracle it replaces for free curves, and the reducedness gate in front of
-both."""
+"""The fast routes of ``classify``, tested against the paths they replace:
+the Saito criterion against the Hilbert oracle for free curves, and the
+arrangement route against the bare polynomial with the same coefficients;
+and the reducedness gate in front of all of them."""
 
 import json
 import random
@@ -8,19 +9,29 @@ from fractions import Fraction
 
 import pytest
 
-from jacsyz import poly, tjurina
-from jacsyz.arrangements import LineArrangement, cone_construction
+from hypothesis import example, given, settings, strategies as st
+
+from jacsyz import poly, syzygy, tjurina
+from jacsyz.arrangements import (LineArrangement, arrangement_to_file,
+                                 cone_construction, lattice,
+                                 multiplicity_bound_check, tau_combinatorial)
 from jacsyz.backend import BackendDisagreement, make_backend
 from jacsyz.cli import main
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
-from jacsyz.poly import homog_gcd, is_reduced, poly_parse
+from jacsyz.poly import HomogPoly, homog_gcd, is_reduced, poly_parse
 from jacsyz.syzygy import graded_multiplication_matrix
 from jacsyz.tjurina import NotReducedError, classify, global_tjurina
 
 _hilbert_profile = tjurina._profile
 
 A3 = "(x^2-y^2)*(y^2-z^2)*(x^2-z^2)"  # free, exponents (2, 3)
+
+
+def bare(f):
+    """f's coefficients with no arrangement recorded, as parsed text gives
+    them: an arrangement's own product would take the arrangement route."""
+    return HomogPoly(f.field, f.degree, dict(f.coeffs))
 
 
 def run_classify(f, backend=None, saito=True):
@@ -62,13 +73,14 @@ CURVE_FIXTURES = [name for name in fixture_names()
 @pytest.mark.parametrize("name", CURVE_FIXTURES)
 def test_free_fixtures_match_hilbert_oracle(name):
     fx = get_fixture(name)
-    backend = make_backend(primes=1, seed=0) if fx.f.field == QQ else None
-    fast, fast_taus = run_classify(fx.f, backend)
+    f = bare(fx.f)
+    backend = make_backend(primes=1, seed=0) if f.field == QQ else None
+    fast, fast_taus = run_classify(f, backend)
     if fast.classification != "free":
         assert fx.expected["class"] != "free"
         return
     assert fast_taus == []
-    assert_matches_hilbert_oracle(fx.f, backend, fast)
+    assert_matches_hilbert_oracle(f, backend, fast)
     assert fast.exponents == fx.expected["exponents"]
 
 
@@ -89,7 +101,7 @@ def _random_cones(seed, count):
             continue
         B, sk = cone_construction(A, apex)
         if B.d <= 10:
-            cones.append((B.f, sk))
+            cones.append((B, sk))
     return cones
 
 
@@ -100,8 +112,9 @@ def cones():
 
 @pytest.mark.parametrize("index", range(6))
 def test_random_cones_match_hilbert_oracle(cones, index):
-    f, sk = cones[index]
-    rep = assert_matches_hilbert_oracle(f, make_backend(primes=1, seed=index))
+    B, sk = cones[index]
+    rep = assert_matches_hilbert_oracle(bare(B.f),
+                                        make_backend(primes=1, seed=index))
     assert (rep.exponents, rep.tau) == (sk.expected_exponents, sk.expected_tau)
 
 
@@ -243,3 +256,184 @@ def test_no_saito_pair_for_non_free_curves():
         rep = classify(f)
         assert rep.classification != "free"
         assert tjurina._saito_verdict(f, rep.mdr) is None
+
+
+# -- the arrangement route, against the bare polynomial ----------------------
+
+ARRANGEMENT_FIXTURES = [name for name in fixture_names()
+                        if get_fixture(name).arrangement is not None]
+F_LARGE = PrimeField(1000003)
+MODULAR = make_backend(seed=0)
+
+# mdr < d - m_max: the scan below the point syzygy finds the answer
+FREE_BELOW_SEED = [(1, 0, 1), (1, -1, -1), (1, 1, 1), (1, -1, 0),
+                   (1, -1, 1), (0, 1, 1)]                  # free (2, 3)
+NEARLY_FREE_BELOW_SEED = [(1, -1, 1), (1, 0, 0), (1, 1, 0), (1, -1, -1),
+                          (0, 1, 0), (0, 0, 1), (1, 1, 1)]  # (3, 4)
+NEITHER_BELOW_SEED = [(1, 0, 1), (0, 1, 0), (0, 1, -1), (1, 0, -1),
+                      (1, 1, -1), (1, 1, 1), (1, 1, 0), (1, -1, 0)]
+
+
+def _json(rep):
+    return json.dumps(rep.to_json(), sort_keys=True)
+
+
+def route_report(A, backend=None):
+    """classify(A.f), which must take the arrangement route: no Hilbert
+    profile, no Saito verdict and no rank at or above d - m_max."""
+    ranked = []
+    real_rank = syzygy.ar_dimension
+
+    def rank(g, r):
+        ranked.append(r)
+        return real_rank(g, r)
+
+    def forbidden(*args):
+        raise AssertionError("the arrangement route took another path")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tjurina, "_profile", forbidden)
+        mp.setattr(tjurina, "_saito_verdict", forbidden)
+        mp.setattr(syzygy, "ar_dimension", rank)
+        rep = classify(A.f, backend)
+    assert all(r < A.d - A.lattice().m_max for r in ranked)
+    return rep
+
+
+def assert_route_matches_bare(A, backend=None, hilbert=True):
+    """The route's report equals the bare polynomial's byte for byte, and
+    its tau is the Hilbert tau (when ``hilbert``) and the lattice's."""
+    rep = route_report(A, backend)
+    assert _json(rep) == _json(classify(bare(A.f), backend))
+    assert rep.tau == tau_combinatorial(A)
+    if hilbert:
+        assert rep.tau == global_tjurina(A.f, backend).tau
+    return rep
+
+
+@pytest.mark.parametrize("name", ARRANGEMENT_FIXTURES)
+def test_arrangement_fixtures_take_the_route(name):
+    A = get_fixture(name).arrangement
+    assert A.f._arrangement is A
+    assert_route_matches_bare(A, MODULAR)
+    if A.field != QQ:  # every backend computes in the fixture's own GF(p)
+        assert_route_matches_bare(A)
+        return
+    if A.d <= 9:  # exact Q linear algebra; the Hilbert tau only for d <= 6
+        for backend in (make_backend("rational"), None):
+            assert_route_matches_bare(A, backend, hilbert=A.d <= 6)
+    assert_route_matches_bare(
+        LineArrangement(F_LARGE, [l.covector for l in A.lines]))
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_random_cones_take_the_route(cones, index):
+    B, sk = cones[index]
+    rep = assert_route_matches_bare(B, make_backend(primes=1, seed=index))
+    assert (rep.exponents, rep.tau) == (sk.expected_exponents, sk.expected_tau)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                          st.integers(-2, 2)).filter(any),
+                min_size=2, max_size=9),
+       st.sampled_from([QQ, F_LARGE]))
+@example(FREE_BELOW_SEED, QQ)
+@example(NEARLY_FREE_BELOW_SEED, QQ)
+@example(NEITHER_BELOW_SEED, F_LARGE)
+def test_random_arrangements_take_the_route(covs, field):
+    try:
+        A = LineArrangement(field, covs)
+    except ValueError:  # repeated line
+        return
+    assert_route_matches_bare(A, MODULAR if field == QQ else None)
+
+
+@pytest.mark.parametrize("covs, cls", [
+    (FREE_BELOW_SEED, "free"), (NEARLY_FREE_BELOW_SEED, "nearly-free"),
+    (NEITHER_BELOW_SEED, "neither")])
+def test_examples_below_the_seed(covs, cls):
+    A = LineArrangement(QQ, covs)
+    rep = route_report(A, MODULAR)
+    assert rep.classification == cls
+    assert rep.mdr == A.d - A.lattice().m_max - 1
+
+
+def test_route_with_a_voting_prime_in_the_seed():
+    # the seed of the top point (0 : 1 : -1/p) has p in a denominator
+    p = MODULAR.primes[0]
+    A = LineArrangement(QQ, [(1, 0, 0), (0, 1, p), (1, 1, p), (2, 3, 5),
+                             (7, -2, 3)])
+    assert A.lattice().points[0].multiplicity == 3
+    assert assert_route_matches_bare(A, MODULAR).classification == (
+        "nearly-free")
+
+
+def _takes_the_bare_path(g, backend):
+    calls = []
+    real = tjurina._verdict
+
+    def verdict(h):
+        calls.append(h.degree)
+        return real(h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tjurina, "_verdict", verdict)
+        rep = classify(g, backend)
+    assert calls
+    return rep
+
+
+def test_polynomials_derived_from_the_product_take_the_bare_path():
+    A = LineArrangement(QQ, NEITHER_BELOW_SEED)  # x = 0 is not a line
+    route = _json(route_report(A, MODULAR))
+    x = poly_parse("x")
+    same = (-A.f, A.f.scale(2), poly_parse(A.f.to_str()))
+    other = (A.f * x, A.f.map_field(F_LARGE))
+    assert all(g._arrangement is None for g in same + other)
+    for g in same:
+        assert _json(_takes_the_bare_path(g, MODULAR)) == route
+    _takes_the_bare_path(other[0], MODULAR)
+    _takes_the_bare_path(other[1], None)
+
+
+def test_analyze_lines_file_equals_its_polynomial(capsys, tmp_path):
+    for covs in (FREE_BELOW_SEED, NEITHER_BELOW_SEED):
+        A = LineArrangement(QQ, covs)
+        path = tmp_path / "lines.txt"
+        path.write_text(arrangement_to_file(A))
+        outs = []
+        for source in (str(path), A.f.to_str()):
+            assert main(["analyze", source, "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
+def test_reducedness_is_read_from_the_lines():
+    p = MODULAR.primes[0]
+    A = LineArrangement(QQ, [(1, 0, 0), (1, p, 0), (0, 0, 1)])  # x*x*z mod p
+    assert not A._reduced_in(PrimeField(p)) and A._reduced_in(QQ)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tjurina, "is_reduced", _no_linear_algebra)
+        with pytest.raises(NotReducedError, match=f"or {p} is a bad prime"):
+            classify(A.f, MODULAR)
+    f = bare(A.f)
+    assert is_reduced(f) and not is_reduced(f.map_field(PrimeField(p)))
+    with pytest.raises(NotReducedError, match=f"or {p} is a bad prime"):
+        classify(f, MODULAR)
+
+
+def test_one_line_keeps_the_bare_path():
+    A = LineArrangement(QQ, [(1, 2, 3)])
+    lat = lattice(A)
+    assert (lat.points, lat.m_max, tau_combinatorial(A)) == ((), 1, 0)
+    assert A._route() is None
+    rep = _takes_the_bare_path(A.f, MODULAR)
+    assert _json(classify(bare(A.f), MODULAR)) == _json(rep)
+    assert (rep.classification, rep.mdr, rep.tau) == ("cone", 0, 0)
+    with pytest.raises(ValueError, match="no intersection point"):
+        multiplicity_bound_check(A, MODULAR)
+    with pytest.raises(ValueError, match="no intersection point"):
+        lat.top()
+    with pytest.raises(ValueError, match="no intersection point"):
+        cone_construction(A, (0, 0, 1))

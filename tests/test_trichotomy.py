@@ -285,6 +285,19 @@ def test_a_bad_seed_is_refused(seed):
     assert _mdr_scan(f, 2, _smooth_cubic_seed(("y^2", "-x^2", "0"))) == 2
 
 
+def test_seed_with_a_voting_prime_in_a_denominator():
+    # the triple point (0 : 1 : -1/p) of x, y + p*z and x + y + p*z has p in
+    # a denominator, and so has its syzygy: the seed is made primitive over
+    # Q before it is mapped into GF(p)
+    p = BACKEND.primes[0]
+    A = LineArrangement(QQ, [(1, 0, 0), (0, 1, p), (1, 1, p), (2, 3, 5),
+                             (7, -2, 3)])
+    top = A.lattice().points[0]
+    assert (top.multiplicity, top.point[2]) == (3, Fraction(-1, p))
+    assert _out(trichotomy(A, top, BACKEND)) == _reference_trichotomy(
+        A, top, BACKEND)
+
+
 def test_a_bad_point_seed_fails_trichotomy(monkeypatch):
     A = get_fixture("ex1").arrangement  # case 0 needs the seed
     p = A.lattice().points[0]
