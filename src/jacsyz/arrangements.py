@@ -6,6 +6,7 @@ lattice-isomorphism testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb
 
@@ -35,11 +36,15 @@ __all__ = [
 
 
 def _normalize(field: Field, vec):
+    """vec scaled so that its first nonzero entry is 1; the leading 0s and
+    that 1 are the field's shared constants, since every lattice point and
+    line keeps its normalized tuple."""
     vec = tuple(field.coerce(v) for v in vec)
-    for v in vec:
+    for i, v in enumerate(vec):
         if not field.is_zero(v):
             inv = field.inv(v)
-            return tuple(field.mul(inv, w) for w in vec)
+            return ((field.zero(),) * i + (field.one(),)
+                    + tuple(field.mul(inv, w) for w in vec[i + 1:]))
     raise ValueError("zero vector cannot be normalized")
 
 
@@ -51,7 +56,7 @@ def _cross(field: Field, a, b):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjLine:
     """Projective line as a normalized covector (first nonzero entry = 1)."""
 
@@ -125,7 +130,7 @@ class LineArrangement:
         return f"LineArrangement({self.field}, {self.d} lines)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticePoint:
     point: tuple
     multiplicity: int
@@ -151,6 +156,15 @@ class IntersectionLattice:
         return self.points[0]
 
 
+@lru_cache(maxsize=4096)
+def _incidence(*lines):
+    """The tuple of line indices through a point, shared: every lattice
+    draws them from the same few (mostly pairs i < j < d), and an
+    arrangement keeps its lattice.  Bounded, so that many different
+    arrangements cannot grow it without limit."""
+    return lines
+
+
 def lattice(A: LineArrangement) -> IntersectionLattice:
     """All pairwise intersection points with multiplicities and incidences;
     ordering is deterministic (multiplicity desc, then coordinates)."""
@@ -160,7 +174,7 @@ def lattice(A: LineArrangement) -> IntersectionLattice:
         for j in range(i + 1, A.d):
             pt = _normalize(F, _cross(F, A.lines[i].covector, A.lines[j].covector))
             table.setdefault(pt, set()).update((i, j))
-    points = [LatticePoint(pt, len(idx), tuple(sorted(idx)))
+    points = [LatticePoint(pt, len(idx), _incidence(*sorted(idx)))
               for pt, idx in table.items()]
     total = sum(comb(p.multiplicity, 2) for p in points)
     if total != comb(A.d, 2):

@@ -6,7 +6,16 @@ primes > 2^30 and the results are cross-checked; any disagreement aborts
 with a diagnostic.  Everything else runs in f's own field: f without a
 backend, f under the rational (exact) backend, and a curve over GF(p).  No
 computation runs in GF(p) with p <= deg f, where a partial derivative can
-vanish identically.
+vanish identically.  A modular backend needs at least one prime.
+
+A vote may come with an exact ``check(g, answer)``, true iff ``fn(g)``
+would return ``answer``.  Then the first field computes and every other
+field only checks that answer, which can cost far less than computing it
+(``syzygy._mdr_scan``).  Each field still gives its own answer, so the vote
+is the same: if every check passes, every field would have answered the
+first field's answer; if one fails, ``fn`` runs in every other field too,
+in order, as without a check, so a disagreement or an error raised in a
+field is reported exactly as it would be without one.
 """
 
 from __future__ import annotations
@@ -23,7 +32,16 @@ DEFAULT_PRIME_COUNT = 3
 
 class BackendDisagreement(ArithmeticError):
     """The random primes voted differently; the probabilistic path is
-    self-policing and refuses to return an answer."""
+    self-policing and refuses to return an answer.  ``what`` names the
+    voted value and ``answers`` holds the (field tag, answer) pairs."""
+
+    def __init__(self, what: str, answers: list):
+        super().__init__(what, answers)
+        self.what = what
+        self.answers = answers
+
+    def __str__(self):
+        return f"backend disagreement on {self.what}: {self.answers}"
 
 
 @dataclass
@@ -34,24 +52,30 @@ class Backend:
 
     def __post_init__(self):
         if self.mode == "modular":
+            if not self.primes:
+                raise ValueError("the modular backend needs at least one "
+                                 "voting prime")
             self.fields = [PrimeField(p) for p in self.primes]
         elif self.mode == "rational":
             self.fields = [QQ]
         else:
             raise ValueError(f"unknown backend mode {self.mode!r}")
 
-    def vote(self, fn, f, what="value"):
+    def vote(self, fn, f, what="value", check=None):
         """Apply ``fn`` to f in every field ``fields_for`` picks under this
-        backend; all answers must agree."""
+        backend; all answers must agree.  With ``check``, the fields after
+        the first only check the first answer, and ``fn`` runs in them only
+        if a check fails (see the module docstring)."""
         fields = fields_for(f, self)
-        answers = [fn(f.map_field(F)) for F in fields]
-        first = answers[0]
-        for a in answers[1:]:
-            if a != first:
-                raise BackendDisagreement(
-                    f"backend disagreement on {what}: "
-                    f"{list(zip([F.tag for F in fields], answers))}")
-        return first
+        answer = fn(f.map_field(fields[0]))
+        if check is not None and all(check(f.map_field(F), answer)
+                                     for F in fields[1:]):
+            return answer
+        answers = [answer] + [fn(f.map_field(F)) for F in fields[1:]]
+        if any(a != answer for a in answers):
+            raise BackendDisagreement(
+                what, [(F.tag, a) for F, a in zip(fields, answers)])
+        return answer
 
 
 def fields_for(f, backend: Backend | None = None) -> list:
@@ -69,12 +93,14 @@ def fields_for(f, backend: Backend | None = None) -> list:
     return fields
 
 
-def compute(fn, f, backend: Backend | None = None, what="value"):
+def compute(fn, f, backend: Backend | None = None, what="value",
+            check=None):
     """``fn(f)`` in the fields of ``fields_for``: directly when that is f's
-    own field, else voted over the backend's primes."""
+    own field, else voted over the backend's primes (with ``check``, as
+    ``Backend.vote``)."""
     if fields_for(f, backend) == [f.field]:
         return fn(f)
-    return backend.vote(fn, f, what)
+    return backend.vote(fn, f, what, check)
 
 
 def describe(f, backend: Backend | None = None) -> dict:

@@ -81,6 +81,9 @@ class Field:
         return self.tag
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # immutable, so shared
+
+
 class RationalField(Field):
     tag = "Q"
     char = 0
@@ -95,10 +98,10 @@ class RationalField(Field):
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b

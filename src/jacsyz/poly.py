@@ -438,7 +438,9 @@ def _mul_terms(a: HomogPoly, b: HomogPoly) -> HomogPoly:
 def _mul_rational(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     """Product of two nonzero forms over Q in Python ints: each factor
     times the lcm of its denominators, every pair of terms, then one
-    Fraction per output term."""
+    Fraction per output term.  The keys are the cached ``monomials``
+    tuples, shared by every product of that degree rather than one new
+    tuple per term of each kept product (such as ``LineArrangement.f``)."""
     da = lcm(*(c.denominator for c in a.coeffs.values()))
     db = lcm(*(c.denominator for c in b.coeffs.values()))
     nb = [(e, c.numerator * (db // c.denominator))
@@ -450,8 +452,10 @@ def _mul_rational(a: HomogPoly, b: HomogPoly) -> HomogPoly:
             e = (x1 + x2, y1 + y2, z1 + z2)
             out[e] = out.get(e, 0) + c1 * c2
     den = da * db
-    return HomogPoly._trusted(a.field, a.degree + b.degree, {
-        e: Fraction(v, den) for e, v in out.items() if v})
+    degree = a.degree + b.degree
+    mons, index = monomials(degree), monomial_index(degree)
+    return HomogPoly._trusted(a.field, degree, {
+        mons[index[e]]: Fraction(v, den) for e, v in out.items() if v})
 
 
 def _mul_int64(a: HomogPoly, b: HomogPoly) -> HomogPoly:

@@ -14,7 +14,10 @@ scalars for the generic elimination.
 
 ``_mdr_scan`` is the one mdr scan: given an explicit syzygy of degree u (the
 Koszul syzygy for ``mdr``, a paper's syzygy for the trichotomies) it ranks
-AR_r only for r < u, since AR_r != 0 implies AR_{r+1} != 0.
+AR_r only for r < u, since AR_r != 0 implies AR_{r+1} != 0.  Under the
+modular backend only the first voting prime scans; each other prime checks
+that answer with at most two ranks (at r-1 and r) or one rank and the seed,
+and scans only if the check fails.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyzygyTriple:
     """(a, b, c) with a*f_x + b*f_y + c*f_z = 0; the certificate currency."""
 
@@ -233,26 +236,41 @@ def _primitive(s: SyzygyTriple) -> SyzygyTriple:
 def _mdr_scan(f: HomogPoly, u: int, build,
               backend: Backend | None = None) -> int:
     """mdr(f) given a seed: a syzygy of degree u that ``build()`` returns
-    over f's field.  In each field of ``compute``: the first r < u with
+    over f's field.  In the first field of ``compute``: the first r < u with
     AR_r != 0, else u, once the seed (built at most once, made primitive
     over Q) is mapped into that field and verified there; ArithmeticError
     if it is zero, of another degree or no syzygy.  No rank at u or above
-    is taken."""
+    is taken.
+
+    Every other voting field checks that answer r instead of scanning:
+    AR_{r-1} = 0, and AR_r != 0 (r < u) or the seed verified there (r = u).
+    Since x * (a, b, c) is a nonzero syzygy of degree s + 1 whenever
+    (a, b, c) is one of degree s, AR_{r-1} = 0 gives AR_s = 0 for every
+    s < r, so the check passes iff that field's scan answers r.  Both ranks
+    are ranks its scan takes too."""
     seed = lru_cache(maxsize=None)(
         lambda: _primitive(build()) if f.field == QQ else build())
+
+    def seeded(g: HomogPoly) -> bool:
+        s = SyzygyTriple(*(p.map_field(g.field) for p in seed().components()),
+                         g.degree)
+        return not s.is_zero() and s.degree == u and verify_syzygy(g, s)
 
     def scan(g: HomogPoly) -> int:
         for r in range(u):
             if ar_dimension(g, r) > 0:
                 return r
-        s = SyzygyTriple(*(p.map_field(g.field) for p in seed().components()),
-                         g.degree)
-        if s.is_zero() or s.degree != u or not verify_syzygy(g, s):
+        if not seeded(g):
             raise ArithmeticError(
                 f"the degree-{u} seed syzygy fails in {g.field.tag}")
         return u
 
-    return compute(scan, f, backend, what="mdr")
+    def check(g: HomogPoly, r: int) -> bool:
+        if r > 0 and ar_dimension(g, r - 1) > 0:
+            return False
+        return ar_dimension(g, r) > 0 if r < u else seeded(g)
+
+    return compute(scan, f, backend, what="mdr", check=check)
 
 
 def mdr(f: HomogPoly, backend: Backend | None = None) -> int:

@@ -165,6 +165,15 @@ def test_pencil_classify_reads_primes(capsys):
     assert json.loads(out)["report"]["primes"] == make_backend(seed=5).primes
 
 
+def test_no_voting_primes_is_an_input_error(capsys):
+    for count in ("0", "-1"):
+        code, out, err = run(capsys, "analyze", "x*y*z+x^3+y^3",
+                             "--primes", count)
+        assert code == 1 and out == ""
+        assert err == ("input error: the modular backend needs at least one "
+                       "voting prime\n")
+
+
 def test_entry_point_matches_pyproject():
     import jacsyz.cli
     assert callable(jacsyz.cli.main)

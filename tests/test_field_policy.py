@@ -118,3 +118,33 @@ def test_pencil_theorems_draw_seeded_default_primes():
     a = thm13_trichotomy(get_fixture("ex14i:3").spec)
     b = thm13_trichotomy(get_fixture("ex14i:3").spec)
     assert a.report.primes == b.report.primes == make_backend(seed=0).primes
+
+
+def test_a_checked_vote_computes_once_and_checks_the_other_fields():
+    f = poly_parse(NEARLY_FREE)
+    backend = make_backend(primes=[1000003, 1000033, 1000037])
+    first, *rest = backend.fields
+    computed, checked = [], []
+
+    def fn(g):
+        computed.append(g.field)
+        return g.degree
+
+    def check(g, answer):
+        checked.append(g.field)
+        return answer == g.degree
+    assert compute(fn, f, backend, check=check) == 6
+    assert (computed, checked) == ([first], rest)
+    computed.clear()
+    # a failed check: fn runs in every field, as in a vote without a check
+    assert backend.vote(fn, f, check=lambda g, answer: False) == 6
+    assert computed == backend.fields
+    computed.clear()
+    assert compute(fn, f, check=lambda g, answer: False) == 6
+    assert computed == [QQ]  # f's own field: no vote, so no check
+
+
+@pytest.mark.parametrize("primes", [0, -2, []])
+def test_a_modular_backend_needs_a_prime(primes):
+    with pytest.raises(ValueError, match="at least one voting prime"):
+        make_backend(primes=primes)

@@ -6,11 +6,14 @@ certifies mdr = u with that syzygy, built lazily and verified in each
 computing field.  ``trichotomy``, ``thm11_trichotomy``, ``thm13_trichotomy``
 and ``multiplicity_bound_check`` all go through it.  The reference functions
 below scan mdr from degree 0 up to d-1 and then split the cases, as the
-code did before the seed.
+code did before the seed.  Under a modular backend only the first voting
+prime scans and the others check its answer; the last tests compare that
+vote with each prime's own scan.
 """
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from jacsyz import arrangements, pencils, syzygy
 from jacsyz.arrangements import (LineArrangement, multiplicity_bound_check,
                                  point_syzygy, trichotomy)
-from jacsyz.backend import compute, make_backend
+from jacsyz.backend import (BackendDisagreement, compute, fields_for,
+                            make_backend)
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.pencils import (base_locus_zero_dimensional, build_product,
@@ -333,3 +337,119 @@ def test_free_case_is_exactly_d_minus_1_minus_u():
     c = thm13_trichotomy(get_fixture("ex14i:3").spec)
     assert (c.case, c.r, c.bounds) == ("free", 4, (4, 4))
     assert c.report.exponents == (4, 5)
+
+
+# -- the checked vote: the first prime scans, the others check --------------
+
+SEEDED = [make_backend(seed=s) for s in (0, 7)]
+
+
+def _field_scans(f, backend):
+    """mdr of f's image in each voting field, by its own unvoted scan."""
+    return [_reference_mdr_scan(f.map_field(F))
+            for F in fields_for(f, backend)]
+
+
+def _assert_votes_match_field_scans(A, backend):
+    scans = _field_scans(A.f, backend)
+    assert len(set(scans)) == 1, scans
+    r = scans[0]
+    assert mdr(A.f, backend) == r
+    assert classify(A.f, backend).mdr == r
+    for p in A.lattice().points:
+        assert trichotomy(A, p, backend).r == r, p.point
+    assert multiplicity_bound_check(A, backend)[1] == Fraction(
+        2 * A.d, r + 2)
+
+
+@pytest.mark.parametrize("name", ARRANGEMENTS)
+def test_checked_vote_matches_every_field_scan(name):
+    for backend in SEEDED:
+        _assert_votes_match_field_scans(get_fixture(name).arrangement,
+                                        backend)
+
+
+@settings(max_examples=20, deadline=None)
+@given(covectors, st.integers(0, 2**16))
+def test_checked_vote_matches_field_scans_on_random_arrangements(covs, seed):
+    try:
+        A = LineArrangement(QQ, covs)
+    except ValueError:  # repeated line
+        return
+    _assert_votes_match_field_scans(A, make_backend(seed=seed))
+
+
+def _ranks_by_field(monkeypatch):
+    seen = {}
+    real = syzygy.ar_dimension
+
+    def recording(g, r):
+        seen.setdefault(g.field, []).append(r)
+        return real(g, r)
+    monkeypatch.setattr(syzygy, "ar_dimension", recording)
+    return seen
+
+
+def _expected_ranks(f, backend, r, u):
+    """The first field scans 0..r (0..u-1 at r = u); every other field
+    ranks at r-1 and, below the seed degree, at r."""
+    first, *rest = fields_for(f, backend)
+    check = [r - 1] * (r > 0) + [r] * (r < u)
+    ranks = {first: list(range(min(r + 1, u))), **{F: check for F in rest}}
+    return {F: seen for F, seen in ranks.items() if seen}
+
+
+@pytest.mark.parametrize("text", CURVES)
+def test_later_fields_only_check_the_mdr(text, monkeypatch):
+    f = poly_parse(text)
+    r = _reference_mdr_scan(f)
+    seen = _ranks_by_field(monkeypatch)
+    assert mdr(f, BACKEND) == r
+    assert seen == _expected_ranks(f, BACKEND, r, f.degree - 1)
+
+
+@pytest.mark.parametrize("name", ARRANGEMENTS)
+def test_later_fields_only_check_the_arrangement_mdr(name, monkeypatch):
+    A = get_fixture(name).arrangement
+    u = A.d - A.lattice().m_max
+    r = _reference_mdr(A.f, BACKEND)
+    seen = _ranks_by_field(monkeypatch)
+    assert multiplicity_bound_check(A, BACKEND)[1] == Fraction(2 * A.d, r + 2)
+    assert seen == _expected_ranks(A.f, BACKEND, r, u)
+    seen.clear()
+    assert classify(A.f, BACKEND).mdr == r
+    assert seen == _expected_ranks(A.f, BACKEND, r, u)
+
+
+BAD = 1000003  # x + y + BAD*z meets x and y at one point mod BAD only
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_bad_prime_in_any_position_gives_the_same_disagreement(position):
+    primes = [1000033, 1000037]
+    primes.insert(position, BAD)
+    backend = make_backend(primes=primes)
+    A = LineArrangement(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, BAD)])
+    answers = [(f"Fp:{p}", 1 if p == BAD else 2) for p in primes]
+    assert answers == list(zip([F.tag for F in backend.fields],
+                               _field_scans(A.f, backend)))
+    message = f"backend disagreement on mdr: {answers}"
+    for fn in (classify, mdr):
+        with pytest.raises(BackendDisagreement) as exc:
+            fn(A.f, backend)
+        assert str(exc.value) == message
+        assert (exc.value.what, exc.value.answers) == ("mdr", answers)
+
+
+@pytest.mark.parametrize("later", [1, 2])
+def test_a_seed_that_fails_only_in_a_later_field_is_refused(later):
+    # (y^2 + k*x^2, -x^2, 0) is a syzygy of the Fermat cubic exactly modulo
+    # the primes that divide k: here every voting prime before ``later``
+    primes = BACKEND.primes
+    k = prod(primes[:later])
+    f = poly_parse("x^3 + y^3 + z^3")
+    seed = _smooth_cubic_seed((f"y^2 + {k}*x^2", "-x^2", "0"))
+    with pytest.raises(ArithmeticError,
+                       match=f"seed syzygy fails in Fp:{primes[later]}$"):
+        _mdr_scan(f, 2, seed, BACKEND)
+    assert _mdr_scan(f, 2, seed, make_backend(primes=primes[:later])) == 2
