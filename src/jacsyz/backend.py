@@ -16,6 +16,12 @@ is the same: if every check passes, every field would have answered the
 first field's answer; if one fails, ``fn`` runs in every other field too,
 in order, as without a check, so a disagreement or an error raised in a
 field is reported exactly as it would be without one.
+
+Pencil member invariants vote too, over two primes that split the
+discriminant roots (``pencils._split_members``), under the same rule: every
+answer goes through ``agree``, the only comparison of answers from
+different fields, and a disagreement raises the same
+``BackendDisagreement``.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import PrimeField, QQ, random_primes
 
-__all__ = ["Backend", "BackendDisagreement", "make_backend", "fields_for",
-           "compute", "describe"]
+__all__ = ["Backend", "BackendDisagreement", "agree", "make_backend",
+           "fields_for", "compute", "describe"]
 
 DEFAULT_PRIME_COUNT = 3
 
@@ -48,7 +54,6 @@ class BackendDisagreement(ArithmeticError):
 class Backend:
     mode: str  # "modular" | "rational"
     primes: list = dc_field(default_factory=list)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.mode == "modular":
@@ -72,10 +77,16 @@ class Backend:
                                      for F in fields[1:]):
             return answer
         answers = [answer] + [fn(f.map_field(F)) for F in fields[1:]]
-        if any(a != answer for a in answers):
-            raise BackendDisagreement(
-                what, [(F.tag, a) for F, a in zip(fields, answers)])
-        return answer
+        return agree(what, [(F.tag, a) for F, a in zip(fields, answers)])
+
+
+def agree(what: str, answers: list):
+    """The common answer of the (field tag, answer) pairs; raises
+    BackendDisagreement on ``what`` unless they all agree."""
+    answer = answers[0][1]
+    if any(a != answer for _, a in answers):
+        raise BackendDisagreement(what, answers)
+    return answer
 
 
 def fields_for(f, backend: Backend | None = None) -> list:
@@ -117,7 +128,7 @@ def make_backend(mode: str = "modular",
                  primes: int | list = DEFAULT_PRIME_COUNT,
                  seed: int | None = None) -> Backend:
     if mode == "rational":
-        return Backend("rational", [], seed)
+        return Backend("rational")
     if isinstance(primes, int):
         primes = random_primes(primes, seed=seed)
-    return Backend("modular", list(primes), seed)
+    return Backend("modular", list(primes))

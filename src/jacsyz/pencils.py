@@ -9,7 +9,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .backend import Backend, make_backend
+from .backend import Backend, agree, make_backend
 from .fields import Field, PrimeField, QQ, parse_field_tag, random_primes
 from .linalg import ExactMatrix
 from .poly import (HomogPoly, homog_gcd, is_reduced, monomial_index,
@@ -23,7 +23,6 @@ __all__ = [
     "PencilSpec",
     "PencilProductSpec",
     "DiscriminantForm",
-    "SingularMemberRecord",
     "build_member",
     "build_product",
     "wedge_syzygy",
@@ -355,28 +354,6 @@ def _macaulay_once(polys):
 # ------------------------------------------------------------- discriminant
 
 @dataclass(frozen=True)
-class SingularMemberRecord:
-    parameter: object  # field scalar, "inf", or an irreducible-factor UniPoly
-    multiplicity: int
-    member: HomogPoly | None = None
-    tau: int | None = None
-
-    def to_json(self, field: Field) -> dict:
-        if self.parameter == INF:
-            param = INF
-        elif isinstance(self.parameter, UniPoly):
-            param = repr(self.parameter)
-        else:
-            param = field.scalar_str(self.parameter)
-        return {
-            "parameter": param,
-            "multiplicity": self.multiplicity,
-            "member": self.member.to_str() if self.member else None,
-            "tau": self.tau,
-        }
-
-
-@dataclass(frozen=True)
 class DiscriminantForm:
     """Binary discriminant D(u, v) of a degree-k pencil, held as the
     dehomogenization D(1, t) plus the multiplicity of the root at (0:1)."""
@@ -399,18 +376,6 @@ class DiscriminantForm:
     def distinct_roots(self) -> int:
         return (sum(g.degree for g, _ in self.factors)
                 + (1 if self.inf_mult else 0))
-
-    def records(self):
-        out = []
-        for g, mu in self.factors:
-            if g.degree == 1:
-                t0 = self.field.neg(g[0])
-                out.append(SingularMemberRecord(t0, mu))
-            else:
-                out.append(SingularMemberRecord(g, mu))
-        if self.inf_mult:
-            out.append(SingularMemberRecord(INF, self.inf_mult))
-        return out
 
     def to_json(self) -> dict:
         factors = [{"poly": _binary_str(self.field, g),
@@ -530,62 +495,76 @@ def genericity_check(P: PencilSpec, seed: int = 0) -> bool:
 
 # --------------------------------------------- splitting-field member scans
 
-class SplittingFieldError(ArithmeticError):
-    """No usable prime found for splitting the discriminant roots."""
+# Seed offsets of the splitting-prime streams: the first two give the voting
+# primes, the third replaces the second when it draws the first's prime.
+SPLIT_SEED_OFFSETS = (0, 104729, 1299709)
+SPLIT_ATTEMPTS = 60  # primes drawn per stream
 
 
-def _split_members(P: PencilSpec, disc: DiscriminantForm, seed: int = 0,
-                   attempts: int = 60):
-    """Reduce the pencil modulo a prime where the discriminant roots all
-    become rational; return per-root (multiplicity, tau, is_cone) data and
-    the prime used.  Requires a rational pencil."""
+def _singular_members(P: PencilSpec, disc: DiscriminantForm,
+                      Fp: PrimeField, rng):
+    """The (multiplicity, member) pairs of the singular members of P over
+    GF(p), or None if a discriminant root is not in GF(p)."""
+    q1p, q2p = P.q1.map_field(Fp), P.q2.map_field(Fp)
+    members = []
+    for g, mu in disc.factors:
+        gp = UniPoly(Fp, [Fp.coerce(c) for c in g.coeffs])
+        if gp.degree != g.degree:
+            return None
+        roots = gp.roots_gfp(rng)
+        if len(roots) != gp.degree:
+            return None
+        members += [(mu, q1p + q2p.scale(t0)) for t0 in roots]
+    if disc.inf_mult:
+        members.append((disc.inf_mult, q2p))
+    return members
+
+
+def _split_members(P: PencilSpec, disc: DiscriminantForm, seed: int = 0):
+    """The sorted (multiplicity, tau, is_cone) list of the singular members
+    of a rational pencil, voted by ``backend.agree`` over two primes where
+    the discriminant roots all become rational, and those two primes.
+
+    Each prime is the first of ``SPLIT_ATTEMPTS`` drawn from the seed plus
+    one of ``SPLIT_SEED_OFFSETS`` that splits the roots into reduced
+    members; a prime where a member is not reduced is skipped."""
     if P.field != QQ:
         raise ValueError("splitting scan starts from a rational pencil")
-    primes = random_primes(attempts, seed=seed)
-    split = not_reduced = 0  # attempts that split the roots / failed the gate
-    for p in primes:
-        Fp = PrimeField(p)
-        try:
-            q1p = P.q1.map_field(Fp)
-            q2p = P.q2.map_field(Fp)
-            members = []
-            for g, mu in disc.factors:
-                gp = UniPoly(Fp, [Fp.coerce(c) for c in g.coeffs])
-                if gp.degree != g.degree:
-                    break
-                roots = gp.roots_gfp(random.Random(seed ^ p))
-                if len(roots) != gp.degree:
-                    break
-                members += [(mu, q1p + q2p.scale(t0)) for t0 in roots]
-            else:
-                if disc.inf_mult:
-                    members.append((disc.inf_mult, q2p))
-                split += 1
-                return [(mu, global_tjurina(m).tau, is_cone(m))
-                        for mu, m in members], p
-        except NotReducedError:
-            not_reduced += 1
-        except (ZeroDivisionError, ValueError):
-            continue
-    if split and not_reduced == split:
-        raise NotReducedError(
-            "a singular member of the pencil is not reduced in each of the "
-            f"{split} splitting fields tried")
-    raise SplittingFieldError(
-        "no prime split the discriminant roots; raise the attempt budget")
-
-
-def _voted_split_members(P, disc, seed=0):
-    """Run the splitting scan over two independent primes and require
-    identical (multiplicity, tau, cone) profiles."""
-    d1, p1 = _split_members(P, disc, seed=seed)
-    d2, p2 = _split_members(P, disc, seed=seed + 104729)
-    if p2 == p1:
-        d2, p2 = _split_members(P, disc, seed=seed + 1299709)
-    if sorted(d1) != sorted(d2):
-        raise ArithmeticError(
-            f"splitting primes {p1}, {p2} disagree on member invariants")
-    return d1, (p1, p2)
+    votes = []  # (splitting field, member invariants), one per stream
+    for offset in SPLIT_SEED_OFFSETS:
+        if len(votes) == 2:
+            if votes[0][0] != votes[1][0]:
+                break
+            votes.pop()  # the second stream drew the first prime again
+        stream = seed + offset
+        split = 0
+        for p in random_primes(SPLIT_ATTEMPTS, seed=stream):
+            Fp = PrimeField(p)
+            try:
+                members = _singular_members(P, disc, Fp,
+                                            random.Random(stream ^ p))
+            except (ZeroDivisionError, ValueError):
+                continue
+            if members is None:
+                continue
+            split += 1
+            try:
+                votes.append((Fp, sorted(
+                    (mu, global_tjurina(m).tau, is_cone(m))
+                    for mu, m in members)))
+                break
+            except NotReducedError:
+                continue
+        else:
+            if split:
+                raise NotReducedError(
+                    "a singular member of the pencil is not reduced in each "
+                    f"of the {split} splitting fields tried")
+            raise ArithmeticError(
+                f"none of the {SPLIT_ATTEMPTS} primes drawn from seed "
+                f"{stream} splits the discriminant roots")
+    return (agree("member invariants", [(F.tag, d) for F, d in votes]),
+            tuple(F.p for F, _ in votes))
 
 
 def total_mu_check(P: PencilSpec, seed: int = 0):
@@ -600,7 +579,7 @@ def total_mu_check(P: PencilSpec, seed: int = 0):
         raise InconsistencyError(
             f"only {distinct} singular members in a generic pencil")
     if distinct == 3:
-        data, _ = _voted_split_members(P, disc, seed=seed)
+        data, _ = _split_members(P, disc, seed=seed)
         for mu, tau, cone in data:
             if not cone:
                 raise InconsistencyError(
@@ -663,7 +642,7 @@ def thmPEN_classify(spec: PencilProductSpec, backend: Backend | None = None,
     if disc.inf_mult and not spec.include_q2:
         covers = False
     # (b) weighted homogeneity: total tau of singular members = total mu
-    data, primes = _voted_split_members(P, disc, seed=seed)
+    data, primes = _split_members(P, disc, seed=seed)
     tau_members = sum(tau for _, tau, _ in data)
     for mu, tau, _ in data:
         if tau > mu:
@@ -673,7 +652,7 @@ def thmPEN_classify(spec: PencilProductSpec, backend: Backend | None = None,
     condition1 = covers and tau_members == target
     f = build_product(spec)
     report = classify(f, backend)
-    exps = (2 * k - 2, m * k - 2 * k + 1)
+    exps = tuple(sorted((2 * k - 2, m * k - 2 * k + 1)))
     free_match = (report.classification == "free"
                   and report.exponents == exps)
     if condition1 != free_match:

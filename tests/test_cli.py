@@ -3,6 +3,7 @@ from fractions import Fraction
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacsyz.backend import make_backend
@@ -118,6 +119,19 @@ def test_pencil_classify_generic_for_every_seed(capsys):
         code, out, err = run(capsys, "pencil", "classify", "fermat:3",
                              "--seed", str(seed))
         assert code == 0, (seed, err)
+
+
+@pytest.mark.parametrize("name", ["ex5", "ex12i:2", "ex12i:3", "ex12i:4",
+                                  "ex12i:5", "ex12ii", "fermat:2",
+                                  "fermat:3", "hesse"])
+def test_pencil_classify_every_pure_pencil_fixture(capsys, name):
+    # the theorem's exponents are compared sorted: for m = 3 and k >= 4 the
+    # wedge degree 2k-2 is the larger one
+    code, out, err = run(capsys, "pencil", "classify", name, "--json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["free"] == data["condition1"]
+    assert data["exponents"] == sorted(data["exponents"])
 
 
 def test_pencil_spec_json_input(capsys, tmp_path):

@@ -1,8 +1,12 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from jacsyz import pencils
+from jacsyz.backend import BackendDisagreement
+from jacsyz.cli import main
 from jacsyz.fields import QQ
 from jacsyz.fixtures import get_fixture
 from jacsyz.pencils import (PencilProductSpec, PencilSpec, _split_members,
@@ -131,7 +135,52 @@ def test_split_members_refuses_a_non_reduced_member():
     # reported as such, not as a too small attempt budget
     P = PencilSpec(poly_parse("x^2"), poly_parse("y^2 + z^2 + x*y"))
     with pytest.raises(NotReducedError, match="member of the pencil is not"):
-        _split_members(P, discriminant(P), attempts=5)
+        _split_members(P, discriminant(P))
+
+
+def skew_member_tau(monkeypatch):
+    """Make member tau one higher in the first splitting field seen than in
+    any other, so the two splitting primes disagree."""
+    real, first = pencils.global_tjurina, []
+
+    def skewed(f, backend=None):
+        first[:] = first or [f.field]
+        skew = f.field == first[0]
+        return SimpleNamespace(tau=real(f, backend).tau + skew)
+
+    monkeypatch.setattr(pencils, "global_tjurina", skewed)
+
+
+def test_member_invariants_vote_through_the_backend(monkeypatch):
+    skew_member_tau(monkeypatch)
+    P = _fermat(3)
+    with pytest.raises(BackendDisagreement) as exc:
+        _split_members(P, discriminant(P))
+    assert exc.value.what == "member invariants"
+    tags = [tag for tag, _ in exc.value.answers]
+    assert len(tags) == 2 and all(tag.startswith("Fp:") for tag in tags)
+    (_, first), (_, second) = exc.value.answers
+    assert [tau for _, tau, _ in first] == [tau + 1 for _, tau, _ in second]
+
+
+def test_member_invariant_disagreement_exits_2(capsys, monkeypatch):
+    skew_member_tau(monkeypatch)
+    assert main(["pencil", "classify", "fermat:3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(
+        "inconsistency: backend disagreement on member invariants")
+
+
+@pytest.mark.parametrize("name, seed, primes", [
+    ("ex5", 0, (1980432887, 1305361411)),
+    ("ex12ii", 0, (1487395831, 1305361411)),
+    ("ex5", 3, (1329254401, 1151686093)),
+])
+def test_splitting_primes_are_seed_stable(name, seed, primes):
+    P = get_fixture(name).pencil
+    data, drawn = _split_members(P, discriminant(P), seed=seed)
+    assert drawn == primes and data == sorted(data)
 
 
 def test_total_mu_check():
