@@ -6,9 +6,9 @@ lattice-isomorphism testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .backend import Backend
 from .fields import Field, QQ
@@ -165,16 +165,52 @@ def _incidence(*lines):
     return lines
 
 
+def _int_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _int_key(c):
+    """The integer vector c divided by the gcd of its entries and signed so
+    that its first nonzero entry is positive: one key per point over Q."""
+    g = gcd(*c)
+    if c[0] < 0 or c[0] == 0 and (c[1] < 0 or c[1] == 0 and c[2] < 0):
+        g = -g
+    return (c[0] // g, c[1] // g, c[2] // g)
+
+
+def _rational_point(c):
+    """``_normalize(QQ, c)`` of an integer key c, by one Fraction an entry."""
+    i = 0 if c[0] else 1 if c[1] else 2
+    return ((QQ.zero(),) * i + (QQ.one(),)
+            + tuple(Fraction(v, c[i]) for v in c[i + 1:]))
+
+
 def lattice(A: LineArrangement) -> IntersectionLattice:
     """All pairwise intersection points with multiplicities and incidences;
-    ordering is deterministic (multiplicity desc, then coordinates)."""
+    ordering is deterministic (multiplicity desc, then coordinates).
+
+    The points are integer cross products of the lines' covectors: over Q
+    of their integer multiples, grouped by ``_int_key`` and normalized once
+    per distinct point; over GF(p) of the residues, normalized mod p."""
     F = A.field
+    if F == QQ:
+        covs = []
+        for line in A.lines:
+            den = lcm(*(v.denominator for v in line.covector))
+            covs.append(tuple(v.numerator * (den // v.denominator)
+                              for v in line.covector))
+        key = _int_key
+    else:
+        covs = [line.covector for line in A.lines]
+        key = partial(_normalize, F)
     table: dict = {}
     for i in range(A.d):
         for j in range(i + 1, A.d):
-            pt = _normalize(F, _cross(F, A.lines[i].covector, A.lines[j].covector))
-            table.setdefault(pt, set()).update((i, j))
-    points = [LatticePoint(pt, len(idx), _incidence(*sorted(idx)))
+            table.setdefault(key(_int_cross(covs[i], covs[j])),
+                             set()).update((i, j))
+    points = [LatticePoint(_rational_point(pt) if F == QQ else pt, len(idx),
+                           _incidence(*sorted(idx)))
               for pt, idx in table.items()]
     total = sum(comb(p.multiplicity, 2) for p in points)
     if total != comb(A.d, 2):
@@ -251,8 +287,11 @@ def trichotomy(A: LineArrangement, p: LatticePoint,
     degree d-m: either r = d-m (case 0), or r = m-1 with freeness certified
     (case 1), or m <= r <= d-m-1 (case 2).  Raising here would falsify the
     trichotomy theorem."""
-    case, r, _, report = _trichotomy(A.f, A.d - p.multiplicity,
-                                     lambda: _point_triple(A, p), backend)
+    # below the highest multiplicity mdr <= d - m_max < d - m, so only a
+    # top point's scan starts with the check at its seed degree
+    case, r, _, report = _trichotomy(
+        A.f, A.d - p.multiplicity, lambda: _point_triple(A, p), backend,
+        top=p.multiplicity == A.lattice().m_max)
     return TrichotomyResult(("generic", "free", "middle").index(case), r,
                             p.multiplicity, A.d, report)
 
@@ -263,7 +302,8 @@ def multiplicity_bound_check(A: LineArrangement,
     scanned below the syzygy of a point of highest multiplicity."""
     top = A.lattice().top()
     m = top.multiplicity
-    r = _mdr_scan(A.f, A.d - m, lambda: _point_triple(A, top), backend)
+    r = _mdr_scan(A.f, A.d - m, lambda: _point_triple(A, top), backend,
+                  top=True)
     rhs = Fraction(2 * A.d, r + 2)
     return m, rhs, Fraction(m) >= rhs
 

@@ -14,10 +14,18 @@ scalars for the generic elimination.
 
 ``_mdr_scan`` is the one mdr scan: given an explicit syzygy of degree u (the
 Koszul syzygy for ``mdr``, a paper's syzygy for the trichotomies) it ranks
-AR_r only for r < u, since AR_r != 0 implies AR_{r+1} != 0.  Under the
-modular backend only the first voting prime scans; each other prime checks
-that answer with at most two ranks (at r-1 and r) or one rank and the seed,
-and scans only if the check fails.
+AR_r only for r < u, since AR_r != 0 implies AR_{r+1} != 0.  The scan runs
+upward from r = 0, except for the syzygy of a point of highest multiplicity
+m_max of a line arrangement, where mdr = u = d - m_max is the common answer:
+there it ranks AR_{u-1} first, so that one rank and the seed prove mdr = u,
+and scans r = 0 .. u-2 only if AR_{u-1} != 0.  Under the modular backend
+only the first voting prime scans; each other prime checks that answer with
+at most two ranks (at r-1 and r) or one rank and the seed, and scans only if
+the check fails.
+
+``ar_slice`` converts and re-verifies every basis triple of AR_r;
+``classify`` reports only basis vector 0, and ``_first_syzygy`` converts and
+re-verifies only that one.
 """
 
 from __future__ import annotations
@@ -184,20 +192,30 @@ def _vector_to_triple(field, vec, r: int, d: int) -> SyzygyTriple:
     return SyzygyTriple(comps[0], comps[1], comps[2], d)
 
 
+def _reverified(f: HomogPoly, t: SyzygyTriple) -> SyzygyTriple:
+    if not verify_syzygy(f, t):
+        raise ArithmeticError("nullspace triple failed re-verification")
+    return t
+
+
 def ar_slice(f: HomogPoly, r: int) -> ARSlice:
     """Basis of the degree-r syzygies of f; every triple re-verified."""
     if r < 0:
         raise ValueError("negative degree")
     if f.degree < 1:
         raise ValueError("f must have positive degree")
+    basis = tuple(_reverified(f, _vector_to_triple(f.field, v, r, f.degree))
+                  for v in _slice_nullspace(f, r))
+    return ARSlice(r, basis, len(basis))
+
+
+def _first_syzygy(f: HomogPoly, r: int) -> SyzygyTriple | None:
+    """``ar_slice(f, r).basis[0]``, or None when AR(f)_r = 0, converting
+    and re-verifying only that one vector of the nullspace."""
     vecs = _slice_nullspace(f, r)
-    basis = []
-    for v in vecs:
-        t = _vector_to_triple(f.field, v, r, f.degree)
-        if not verify_syzygy(f, t):
-            raise ArithmeticError("nullspace triple failed re-verification")
-        basis.append(t)
-    return ARSlice(r, tuple(basis), len(basis))
+    if not vecs:
+        return None
+    return _reverified(f, _vector_to_triple(f.field, vecs[0], r, f.degree))
 
 
 def ar_dimension(f: HomogPoly, r: int) -> int:
@@ -234,7 +252,7 @@ def _primitive(s: SyzygyTriple) -> SyzygyTriple:
 
 
 def _mdr_scan(f: HomogPoly, u: int, build,
-              backend: Backend | None = None) -> int:
+              backend: Backend | None = None, top: bool = False) -> int:
     """mdr(f) given a seed: a syzygy of degree u that ``build()`` returns
     over f's field.  In the first field of ``compute``: the first r < u with
     AR_r != 0, else u, once the seed (built at most once, made primitive
@@ -242,12 +260,21 @@ def _mdr_scan(f: HomogPoly, u: int, build,
     if it is zero, of another degree or no syzygy.  No rank at u or above
     is taken.
 
-    Every other voting field checks that answer r instead of scanning:
-    AR_{r-1} = 0, and AR_r != 0 (r < u) or the seed verified there (r = u).
     Since x * (a, b, c) is a nonzero syzygy of degree s + 1 whenever
     (a, b, c) is one of degree s, AR_{r-1} = 0 gives AR_s = 0 for every
-    s < r, so the check passes iff that field's scan answers r.  Both ranks
-    are ranks its scan takes too."""
+    s < r.  So ``check(g, r)``, AR_{r-1} = 0 and then AR_r != 0 (r < u) or
+    the seed verified in g's field (r = u), passes iff the scan of g
+    answers r; both of its ranks are ranks that scan takes too.  Every
+    voting field after the first checks the first field's answer instead
+    of scanning, and scans only if the check fails.
+
+    The scan ranks upward from r = 0, unless ``top`` says that the seed is
+    the syzygy of a point of highest multiplicity.  Then mdr = u is the
+    likely answer, and the scan ranks AR_{u-1} first: if it is 0, only the
+    seed is left to verify, as in ``check(g, u)``; otherwise it scans
+    r = 0 .. u-2 and answers u-1 if none of them has a syzygy.  At any other
+    point of an arrangement mdr <= d - m_max < u, so a rank at u-1 first
+    would be wasted."""
     seed = lru_cache(maxsize=None)(
         lambda: _primitive(build()) if f.field == QQ else build())
 
@@ -257,9 +284,15 @@ def _mdr_scan(f: HomogPoly, u: int, build,
         return not s.is_zero() and s.degree == u and verify_syzygy(g, s)
 
     def scan(g: HomogPoly) -> int:
-        for r in range(u):
-            if ar_dimension(g, r) > 0:
-                return r
+        if top and u > 0:
+            # AR_{u-1} = 0 leaves only the seed to verify
+            if ar_dimension(g, u - 1) > 0:
+                return next((r for r in range(u - 1)
+                             if ar_dimension(g, r) > 0), u - 1)
+        else:
+            for r in range(u):
+                if ar_dimension(g, r) > 0:
+                    return r
         if not seeded(g):
             raise ArithmeticError(
                 f"the degree-{u} seed syzygy fails in {g.field.tag}")

@@ -11,7 +11,8 @@ one of three routes:
 - Arrangement.  The polynomial that ``LineArrangement.f`` returns records
   its arrangement.  Its mdr is scanned only below u = d - m_max, where the
   point syzygy of a point of highest multiplicity is the seed of
-  ``_mdr_scan`` (voted like every mdr), and tau = sum (m_p - 1)^2 over the
+  ``_mdr_scan`` (voted like every mdr; it ranks AR_{u-1} first, since
+  mdr = u is the common case), and tau = sum (m_p - 1)^2 over the
   intersection points, exact in the arrangement's field.  Each point is an
   ordinary m-fold point: locally m concurrent lines, a homogeneous
   singularity, whose Tjurina number equals its Milnor number (m - 1)^2
@@ -32,7 +33,9 @@ one of three routes:
 
 The certificate is the first basis vector of AR(f)_r in the first computing
 field on every route (the Saito route's rho1 is that vector), so a curve
-gets the same report whichever route decides it.
+gets the same report whichever route decides it.  It is one verified
+vector: of that nullspace only basis vector 0 is converted to a triple and
+re-verified (``ar_slice`` still returns the whole verified basis).
 
 ``classify`` and ``global_tjurina`` share one input gate, run before any
 linear algebra.  It takes the fields from ``backend.fields_for``, which
@@ -55,9 +58,9 @@ from math import comb
 from .backend import Backend, compute, describe, fields_for
 from .linalg import rank_mod_np
 from .poly import HomogPoly, is_reduced, monomial_count
-from .syzygy import (SyzygyTriple, _mdr_scan, _slice_nullspace,
-                     _vector_to_triple, ar_dimension, ar_slice,
-                     graded_multiplication_matrix, mdr, verify_syzygy)
+from .syzygy import (SyzygyTriple, _first_syzygy, _mdr_scan, _reverified,
+                     _slice_nullspace, _vector_to_triple, ar_dimension,
+                     ar_slice, graded_multiplication_matrix, mdr)
 
 __all__ = [
     "MilnorProfile",
@@ -236,14 +239,13 @@ def _saito_verdict(f: HomogPoly, r: int) -> _Verdict | None:
     F = f.field
     if not (r >= 1 and 2 * r <= d - 1):
         return None
-    rho1 = ar_slice(f, r).basis[0]
+    rho1 = _first_syzygy(f, r)
     d2 = d - 1 - r
     grad = f.gradient()
     for vec in _slice_nullspace(f, d2):
         rho2 = _vector_to_triple(F, vec, d2, d)
         if _cross_multiple(rho1, rho2, grad):
-            if not verify_syzygy(f, rho2):
-                raise ArithmeticError("nullspace triple failed re-verification")
+            _reverified(f, rho2)
             return _Verdict(r, (d - 1) ** 2 - r * d2, "free", (r, d2), rho1)
     return None
 
@@ -288,14 +290,11 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
         verdict = compute(_verdict, f, backend, what="classification")
     else:
         u, seed, tau = route
-        verdict = _dpw_verdict(d, _mdr_scan(f, u, seed, backend), tau)
+        verdict = _dpw_verdict(d, _mdr_scan(f, u, seed, backend, top=True),
+                               tau)
     r, tau = verdict.mdr, verdict.tau
 
-    certificate = verdict.certificate
-    if certificate is None:
-        slice_r = ar_slice(image, r)
-        if slice_r.dimension > 0:
-            certificate = slice_r.basis[0]
+    certificate = verdict.certificate or _first_syzygy(image, r)
 
     bound, branch = dpw_bounds(d, r)
     if tau > bound:
@@ -322,15 +321,16 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
 
 
 def _trichotomy(f: HomogPoly, u: int, build,
-                backend: Backend | None = None):
+                backend: Backend | None = None, top: bool = False):
     """The paper's case split for f with an explicit syzygy of degree u
-    (``build()`` returns it over f's field, for ``_mdr_scan``): mdr = u
+    (``build()`` returns it over f's field, for ``_mdr_scan``; ``top`` when
+    it is the syzygy of a point of highest multiplicity): mdr = u
     ("generic"), or mdr = d-1-u and f free with exponents (d-1-u, u)
     ("free"), or d-u <= mdr <= u-1 ("middle").  Returns (case, mdr, the
     range the case allows for mdr, the ``classify`` report of the free
     case or None); any other outcome raises InconsistencyError."""
     d = f.degree
-    r = _mdr_scan(f, u, build, backend)
+    r = _mdr_scan(f, u, build, backend, top)
     if r == u:
         return "generic", r, (u, u), None
     if r >= d - u:

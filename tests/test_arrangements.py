@@ -5,14 +5,16 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacsyz.arrangements import (LineArrangement, arrangement_to_file,
+from jacsyz.arrangements import (IntersectionLattice, LatticePoint,
+                                 LineArrangement, _cross, _normalize,
+                                 _sort_key, arrangement_to_file, lattice,
                                  cone_construction, exponent_gap_check,
                                  faenzi_valles_check, lattice_isomorphic,
                                  multiplicity_bound_check,
                                  parse_arrangement_file, point_syzygy,
                                  tau_combinatorial, trichotomy)
 from jacsyz.fields import PrimeField, QQ
-from jacsyz.fixtures import get_fixture
+from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.poly import HomogPoly, poly_parse
 from jacsyz.syzygy import SyzygyTriple, is_primitive, mdr, verify_syzygy
 from jacsyz.tjurina import classify, global_tjurina
@@ -54,6 +56,59 @@ def test_tau_combinatorial_is_tau(covs):
     if A is None:
         return
     assert tau_combinatorial(A) == global_tjurina(A.f).tau
+
+
+def _reference_lattice(A):
+    """The lattice in field arithmetic on the normalized covectors: every
+    pairwise point crossed and normalized in A's field."""
+    F = A.field
+    table = {}
+    for i in range(A.d):
+        for j in range(i + 1, A.d):
+            pt = _normalize(F, _cross(F, A.lines[i].covector,
+                                      A.lines[j].covector))
+            table.setdefault(pt, set()).update((i, j))
+    points = [LatticePoint(pt, len(idx), tuple(sorted(idx)))
+              for pt, idx in table.items()]
+    points.sort(key=lambda p: (-p.multiplicity, _sort_key(F, p.point)))
+    return IntersectionLattice(
+        tuple(points), max((p.multiplicity for p in points), default=1))
+
+
+def assert_lattice_matches_reference(A):
+    lat = lattice(A)
+    # repr tells Fraction(1, 1) from 1: the same scalars, not only equal ones
+    assert repr(lat) == repr(_reference_lattice(A))
+    F = A.field
+    for p in lat.points:  # leading 0s and 1 are the field's shared constants
+        i = next(i for i, v in enumerate(p.point) if v != 0)
+        assert all(v is F.zero() for v in p.point[:i])
+        assert p.point[i] is F.one()
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names()
+                                  if get_fixture(n).arrangement is not None])
+def test_fixture_lattices_match_the_reference(name):
+    A = get_fixture(name).arrangement
+    assert_lattice_matches_reference(A)
+    if A.field == QQ:
+        assert_lattice_matches_reference(
+            LineArrangement(PrimeField(1000003), [l.covector for l in A.lines]))
+
+
+rational_covectors = st.lists(
+    st.tuples(*[st.fractions(-7, 7, max_denominator=6)] * 3).filter(any),
+    min_size=1, max_size=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_covectors, st.sampled_from([QQ, PrimeField(1000003)]))
+def test_random_lattices_match_the_reference(covs, field):
+    try:
+        A = LineArrangement(field, covs)
+    except ValueError:  # repeated line, or a denominator divisible by p
+        return
+    assert_lattice_matches_reference(A)
 
 
 def test_known_lattices():

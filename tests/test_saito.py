@@ -15,12 +15,12 @@ from jacsyz import poly, syzygy, tjurina
 from jacsyz.arrangements import (LineArrangement, arrangement_to_file,
                                  cone_construction, lattice,
                                  multiplicity_bound_check, tau_combinatorial)
-from jacsyz.backend import BackendDisagreement, make_backend
+from jacsyz.backend import BackendDisagreement, fields_for, make_backend
 from jacsyz.cli import main
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.poly import HomogPoly, homog_gcd, is_reduced, poly_parse
-from jacsyz.syzygy import graded_multiplication_matrix
+from jacsyz.syzygy import ar_slice, graded_multiplication_matrix
 from jacsyz.tjurina import NotReducedError, classify, global_tjurina
 
 _hilbert_profile = tjurina._profile
@@ -437,3 +437,61 @@ def test_one_line_keeps_the_bare_path():
         lat.top()
     with pytest.raises(ValueError, match="no intersection point"):
         cone_construction(A, (0, 0, 1))
+
+
+# -- the certificate: basis vector 0, the only one converted and verified ----
+
+CURVES_OF_FIXTURES = [name for name in fixture_names()
+                      if get_fixture(name).f is not None]
+
+
+def assert_certificate_is_basis_vector_0(f, backend):
+    """classify's certificate is ``ar_slice(image, mdr).basis[0]``, the
+    full basis of the first computing field, on the route and bare."""
+    image = f.map_field(fields_for(f, backend)[0])
+    for g in (f, bare(f)):
+        rep = classify(g, backend)
+        assert rep.certificate == ar_slice(image, rep.mdr).basis[0]
+
+
+@pytest.mark.parametrize("name", CURVES_OF_FIXTURES)
+def test_fixture_certificates_are_basis_vector_0(name):
+    assert_certificate_is_basis_vector_0(get_fixture(name).f, MODULAR)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                          st.integers(-2, 2)).filter(any),
+                min_size=3, max_size=8),
+       st.sampled_from([QQ, F_LARGE]))
+def test_random_certificates_are_basis_vector_0(covs, field):
+    try:
+        A = LineArrangement(field, covs)
+    except ValueError:  # repeated line
+        return
+    assert_certificate_is_basis_vector_0(A.f, MODULAR if field == QQ else None)
+
+
+def _verifications(monkeypatch):
+    seen = []
+    real = syzygy.verify_syzygy
+
+    def spy(f, s):
+        seen.append(s.degree)
+        return real(f, s)
+    monkeypatch.setattr(syzygy, "verify_syzygy", spy)
+    return seen
+
+
+def test_one_certificate_verification(monkeypatch):
+    A = get_fixture("ex3").arrangement  # mdr 9 < u = 13, dim AR_9 = 2
+    image = A.f.map_field(MODULAR.fields[0])
+    assert ar_slice(image, 9).dimension == 2
+    seen = _verifications(monkeypatch)
+    rep = classify(A.f, MODULAR)
+    # the route verifies no seed below u: the certificate is the only one
+    assert (rep.mdr, seen) == (9, [9])
+    seen.clear()
+    # the Saito route verifies rho1 and rho2 once in each voting field
+    assert classify(bare(A.f), MODULAR).certificate == rep.certificate
+    assert seen == [9, 9] * len(MODULAR.fields)

@@ -237,7 +237,7 @@ def test_no_rank_at_or_above_the_seed_degree(monkeypatch):
     seen.clear()
     A = get_fixture("ex1").arrangement  # case 0: r = d-m = 2
     assert trichotomy(A, A.lattice().points[0]).r == 2
-    assert seen == [0, 1]
+    assert seen == [1]  # a top point: AR_1 = 0 and the seed prove mdr = 2
 
 
 def test_mdr_one_below_the_seed_is_found(monkeypatch):
@@ -274,19 +274,33 @@ def _smooth_cubic_seed(u):
     return lambda: SyzygyTriple(*(poly_parse(t) for t in u), 3)
 
 
-@pytest.mark.parametrize("seed", [
+BAD_SEEDS = [
     ("x^2", "y^2", "z^2"),   # degree 2, not a syzygy
     ("x*y", "0", "0"),       # degree 2, not a syzygy
     ("0", "0", "0"),         # zero triple
     ("x", "-y", "0"),        # wrong degree
-])
+]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
 def test_a_bad_seed_is_refused(seed):
+    _assert_a_bad_seed_is_refused(seed, top=False)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_a_bad_top_seed_is_refused(seed):
+    _assert_a_bad_seed_is_refused(seed, top=True)
+
+
+def _assert_a_bad_seed_is_refused(seed, top):
     f = poly_parse("x^3 + y^3 + z^3")  # mdr 2: nothing below the seed
-    with pytest.raises(ArithmeticError, match="seed syzygy fails"):
-        _mdr_scan(f, 2, _smooth_cubic_seed(seed))
-    with pytest.raises(ArithmeticError, match="seed syzygy fails"):
-        _mdr_scan(f, 2, _smooth_cubic_seed(seed), BACKEND)
-    assert _mdr_scan(f, 2, _smooth_cubic_seed(("y^2", "-x^2", "0"))) == 2
+    with pytest.raises(ArithmeticError, match="seed syzygy fails in Q$"):
+        _mdr_scan(f, 2, _smooth_cubic_seed(seed), top=top)
+    with pytest.raises(ArithmeticError,
+                       match=f"seed syzygy fails in Fp:{BACKEND.primes[0]}$"):
+        _mdr_scan(f, 2, _smooth_cubic_seed(seed), BACKEND, top)
+    assert _mdr_scan(f, 2, _smooth_cubic_seed(("y^2", "-x^2", "0")),
+                     top=top) == 2
 
 
 def test_seed_with_a_voting_prime_in_a_denominator():
@@ -308,10 +322,13 @@ def test_a_bad_point_seed_fails_trichotomy(monkeypatch):
     good = point_syzygy(A, p)
     bad = SyzygyTriple(good.a, good.b, good.c + good.a, good.f_degree)
     monkeypatch.setattr(arrangements, "_point_triple", lambda A, p: bad)
-    with pytest.raises(ArithmeticError, match="seed syzygy fails"):
+    first = f"seed syzygy fails in Fp:{BACKEND.primes[0]}$"
+    with pytest.raises(ArithmeticError, match=first):
         trichotomy(A, p, BACKEND)
-    with pytest.raises(ArithmeticError, match="seed syzygy fails"):
+    with pytest.raises(ArithmeticError, match=first):
         multiplicity_bound_check(A, BACKEND)
+    with pytest.raises(ArithmeticError, match=first):
+        classify(A.f, BACKEND)
 
 
 def test_small_primes_are_refused_before_a_seed_is_built(monkeypatch):
@@ -390,12 +407,18 @@ def _ranks_by_field(monkeypatch):
     return seen
 
 
-def _expected_ranks(f, backend, r, u):
-    """The first field scans 0..r (0..u-1 at r = u); every other field
-    ranks at r-1 and, below the seed degree, at r."""
+def _expected_ranks(f, backend, r, u, top=False):
+    """The first field scans 0..r (0..u-1 at r = u); with a top seed it
+    ranks at u-1 first, and below u scans 0..r without ranking u-1 again.
+    Every other field ranks at r-1 and, below the seed degree, at r."""
     first, *rest = fields_for(f, backend)
     check = [r - 1] * (r > 0) + [r] * (r < u)
-    ranks = {first: list(range(min(r + 1, u))), **{F: check for F in rest}}
+    if top:
+        scan = [u - 1] * (u > 0) + (list(range(min(r + 1, u - 1)))
+                                    if r < u else [])
+    else:
+        scan = list(range(min(r + 1, u)))
+    ranks = {first: scan, **{F: check for F in rest}}
     return {F: seen for F, seen in ranks.items() if seen}
 
 
@@ -415,10 +438,42 @@ def test_later_fields_only_check_the_arrangement_mdr(name, monkeypatch):
     r = _reference_mdr(A.f, BACKEND)
     seen = _ranks_by_field(monkeypatch)
     assert multiplicity_bound_check(A, BACKEND)[1] == Fraction(2 * A.d, r + 2)
-    assert seen == _expected_ranks(A.f, BACKEND, r, u)
+    assert seen == _expected_ranks(A.f, BACKEND, r, u, top=True)
     seen.clear()
     assert classify(A.f, BACKEND).mdr == r
-    assert seen == _expected_ranks(A.f, BACKEND, r, u)
+    assert seen == _expected_ranks(A.f, BACKEND, r, u, top=True)
+
+
+def _first_field_ranks(monkeypatch, fn, A):
+    seen = _ranks_by_field(monkeypatch)
+    fn()
+    return seen[fields_for(A.f, BACKEND)[0]]
+
+
+@pytest.mark.parametrize("name, u, r", [("ex2a", 4, 3), ("ex3", 13, 9)])
+def test_a_top_seed_ranks_its_degree_first(name, u, r, monkeypatch):
+    # AR_{u-1} != 0, so the first field scans upward from 0; at r = u-1
+    # (ex2a) it answers u-1 without ranking it again
+    A = get_fixture(name).arrangement
+    top = A.lattice().points[0]
+    assert (A.d - top.multiplicity, _reference_mdr(A.f, BACKEND)) == (u, r)
+    expected = [u - 1] + list(range(min(r + 1, u - 1)))
+    for fn in (lambda: classify(A.f, BACKEND),
+               lambda: multiplicity_bound_check(A, BACKEND)):
+        assert _first_field_ranks(monkeypatch, fn, A) == expected
+    # the free case (ex2a) scans again in the classify it reports
+    scans = 2 if r == A.d - 1 - u else 1
+    assert _first_field_ranks(
+        monkeypatch, lambda: trichotomy(A, top, BACKEND), A) == expected * scans
+
+
+def test_a_lower_point_ranks_upward_from_zero(monkeypatch):
+    A = get_fixture("ex3").arrangement  # mdr 9 <= d - m_max < d - m
+    low = A.lattice().points[-1]
+    assert low.multiplicity < A.lattice().m_max
+    ranks = _first_field_ranks(
+        monkeypatch, lambda: trichotomy(A, low, BACKEND), A)
+    assert ranks == list(range(10))
 
 
 BAD = 1000003  # x + y + BAD*z meets x and y at one point mod BAD only
@@ -443,6 +498,15 @@ def test_a_bad_prime_in_any_position_gives_the_same_disagreement(position):
 
 @pytest.mark.parametrize("later", [1, 2])
 def test_a_seed_that_fails_only_in_a_later_field_is_refused(later):
+    _assert_a_later_field_refuses_the_seed(later, top=False)
+
+
+@pytest.mark.parametrize("later", [1, 2])
+def test_a_top_seed_that_fails_only_in_a_later_field_is_refused(later):
+    _assert_a_later_field_refuses_the_seed(later, top=True)
+
+
+def _assert_a_later_field_refuses_the_seed(later, top):
     # (y^2 + k*x^2, -x^2, 0) is a syzygy of the Fermat cubic exactly modulo
     # the primes that divide k: here every voting prime before ``later``
     primes = BACKEND.primes
@@ -451,5 +515,6 @@ def test_a_seed_that_fails_only_in_a_later_field_is_refused(later):
     seed = _smooth_cubic_seed((f"y^2 + {k}*x^2", "-x^2", "0"))
     with pytest.raises(ArithmeticError,
                        match=f"seed syzygy fails in Fp:{primes[later]}$"):
-        _mdr_scan(f, 2, seed, BACKEND)
-    assert _mdr_scan(f, 2, seed, make_backend(primes=primes[:later])) == 2
+        _mdr_scan(f, 2, seed, BACKEND, top)
+    assert _mdr_scan(f, 2, seed, make_backend(primes=primes[:later]),
+                     top) == 2
