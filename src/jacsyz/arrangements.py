@@ -48,12 +48,12 @@ def _normalize(field: Field, vec):
     raise ValueError("zero vector cannot be normalized")
 
 
-def _cross(field: Field, a, b):
-    return (
-        field.sub(field.mul(a[1], b[2]), field.mul(a[2], b[1])),
-        field.sub(field.mul(a[2], b[0]), field.mul(a[0], b[2])),
-        field.sub(field.mul(a[0], b[1]), field.mul(a[1], b[0])),
-    )
+def _cross(a, b):
+    """a x b in plain arithmetic: over GF(p) the entries are not reduced, so
+    callers pass it through ``_normalize`` (which coerces) or
+    ``field.is_zero``."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,11 +165,6 @@ def _incidence(*lines):
     return lines
 
 
-def _int_cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 def _int_key(c):
     """The integer vector c divided by the gcd of its entries and signed so
     that its first nonzero entry is positive: one key per point over Q."""
@@ -207,7 +202,7 @@ def lattice(A: LineArrangement) -> IntersectionLattice:
     table: dict = {}
     for i in range(A.d):
         for j in range(i + 1, A.d):
-            table.setdefault(key(_int_cross(covs[i], covs[j])),
+            table.setdefault(key(_cross(covs[i], covs[j])),
                              set()).update((i, j))
     points = [LatticePoint(_rational_point(pt) if F == QQ else pt, len(idx),
                            _incidence(*sorted(idx)))
@@ -374,7 +369,7 @@ def cone_construction(A: LineArrangement, apex):
     A.lattice().top()  # ValueError for a single line: nothing to join
     added = []
     for p in A.lattice().points:
-        cov = _normalize(F, _cross(F, apex, p.point))
+        cov = _normalize(F, _cross(apex, p.point))
         if cov not in added:
             added.append(cov)
     e = A.d

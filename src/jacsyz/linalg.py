@@ -1,24 +1,25 @@
 """Exact rank / nullspace / determinant computations.
 
-Two eliminations, one per arithmetic:
+One elimination, ``_echelon``, in three arithmetics picked from p alone:
 
-* ``_echelon_mod_np``: a vectorized numpy int64 kernel over GF(p) for
-  p < 2^31.  ``rank_mod_np`` counts its pivots; ``nullspace_mod_np`` reads
-  the basis from its reduced form.  A row update ``a - f*b`` on residues
-  lies in (-(p-1)^2, p), inside (-2^62, 2^31), and is reduced by
+* GF(p) with p < 2^31: int64 residues.  A row update ``a - f*b`` on
+  residues lies in (-(p-1)^2, p), inside (-2^62, 2^31), and is reduced by
   ``a - (a // p)*p``: numpy divides an int64 array by a scalar with a
   precomputed multiply-and-shift (libdivide), about twice as fast as ``%``,
   which divides each entry in hardware.  Floor division, unlike truncation,
   gives a result in [0, p) for a negative ``a`` too, and the quotient's
-  product with p lies in (-2^62, 2^31), so nothing overflows.  The rows to
-  update are gathered in blocks of at most ``_BLOCK`` entries, which bounds
-  the kernel's temporaries, and so peak memory, on large matrices.
-* ``ExactMatrix._rref``: a generic row reduction over any exact field
-  (Fractions over Q, Python ints mod p for p >= 2^31).  ``rank``,
-  ``nullspace`` and ``det`` all read from it.
+  product with p lies in (-2^62, 2^31), so nothing overflows.
+* GF(p) with p >= 2^31: Python ints in an object array, reduced by the same
+  floor division, which numpy applies entry by entry.
+* Q (p None): Fractions in an object array, with no reduction step.
 
-Both return the reduced row echelon form with pivots scaled to 1, so a
-nullspace basis is canonical: one vector per free column, with a 1 there.
+The rows to update are gathered in blocks of at most ``_BLOCK`` entries,
+which bounds the kernel's temporaries, and so peak memory, on large
+matrices.  Pivots are scaled to 1.  ``rank_mod_np`` and ``ExactMatrix``'s
+``rank`` and ``det`` read the row echelon form; ``nullspace_mod_np`` and
+``ExactMatrix.nullspace`` read their basis from the reduced form through
+``_nullspace_basis``, so a basis is canonical: one vector per free column,
+with a 1 there.
 """
 
 from __future__ import annotations
@@ -30,22 +31,24 @@ from .fields import Field
 __all__ = ["ExactMatrix", "rank_mod_np", "nullspace_mod_np"]
 
 
-# ---------------------------------------------------------------------------
-# numpy kernel for GF(p)
-# ---------------------------------------------------------------------------
-
 # entries per row-update block: the update's two temporaries stay at 256 KB
-# each however large the matrix, next to A and its copy R
+# each (int64) however large the matrix, next to A and its copy R
 _BLOCK = 1 << 15
 
 
-def _echelon_mod_np(A: np.ndarray, p: int, reduced: bool):
-    """Row echelon form of A over GF(p) with pivots scaled to 1; the rows
-    above each pivot are cleared too when ``reduced``.  A is int64 with
-    entries in [0, p) and is left unchanged.  Returns (R, pivot columns)."""
+def _echelon(A: np.ndarray, p: int | None, reduced: bool):
+    """Row echelon form of A with pivots scaled to 1; the rows above each
+    pivot are cleared too when ``reduced``.  Over GF(p) A holds residues in
+    [0, p), int64 for p < 2^31 and Python ints in an object array
+    otherwise; over Q (p None) it holds Fractions in an object array.  A is
+    left unchanged.  Returns (R, pivot columns, det), where det is the
+    product of the pivots with the sign of the row swaps (mod p over GF(p))
+    when every row has a pivot, and 0 otherwise: for a square A, its
+    determinant."""
     R = A.copy()
     rows, cols = R.shape
     pivots = []
+    det = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
@@ -56,8 +59,15 @@ def _echelon_mod_np(A: np.ndarray, p: int, reduced: bool):
         if nz[0]:
             i = r + int(nz[0])
             R[[r, i]] = R[[i, r]]
+            det = -det
         prow = R[r, c:]
-        prow[:] = prow * pow(int(prow[0]), -1, p) % p
+        if p:
+            a = int(prow[0])
+            det = det * a % p
+            prow[:] = prow * pow(a, -1, p) % p
+        else:
+            det *= prow[0]
+            prow[:] = prow * (1 / prow[0])
         # below the pivot, only the rows r + nz[1:] are nonzero in column c:
         # the row swapped down to r + nz[0] was zero there
         idx = nz[1:] + r
@@ -68,45 +78,50 @@ def _echelon_mod_np(A: np.ndarray, p: int, reduced: bool):
             rk = idx[k:k + step]
             sub = R[rk, c:]
             t = sub[:, :1] * prow
-            sub -= t  # in (-p^2, p)
-            np.floor_divide(sub, p, out=t)
-            t *= p
-            sub -= t  # in [0, p)
+            sub -= t  # in (-p^2, p) over GF(p)
+            if p:
+                np.floor_divide(sub, p, out=t)
+                t *= p
+                sub -= t  # in [0, p)
             R[rk, c:] = sub
         pivots.append(c)
-    return R, pivots
+    return R, pivots, det if len(pivots) == rows else 0
 
 
-def rank_mod_np(A: np.ndarray, p: int) -> int:
-    """Rank over GF(p); A is int64 with entries in [0, p) and is left
-    unchanged."""
-    return len(_echelon_mod_np(A, p, reduced=False)[1])
-
-
-def nullspace_mod_np(A: np.ndarray, p: int):
-    """Canonical nullspace basis over GF(p), read from the reduced row
-    echelon form: one int64 vector per free column, with a 1 there."""
-    R, pivots = _echelon_mod_np(A, p, reduced=True)
-    cols = A.shape[1]
+def _nullspace_basis(R: np.ndarray, pivots, p: int | None):
+    """The canonical nullspace basis read from a reduced row echelon form R
+    (p as for ``_echelon``): for each free column j, the vector of R's dtype
+    with a 1 at j and -R[i, j] at the i-th pivot column."""
+    cols = R.shape[1]
     pivset = set(pivots)
     basis = []
     for j in range(cols):
         if j in pivset:
             continue
-        v = np.zeros(cols, dtype=np.int64)
+        v = np.zeros(cols, dtype=R.dtype)
         v[j] = 1
-        v[pivots] = -R[:len(pivots), j] % p
+        col = -R[:len(pivots), j]
+        v[pivots] = col % p if p else col
         basis.append(v)
     return basis
 
 
-# ---------------------------------------------------------------------------
-# generic exact matrix
-# ---------------------------------------------------------------------------
+def rank_mod_np(A: np.ndarray, p: int) -> int:
+    """Rank over GF(p); A is int64 with entries in [0, p) and is left
+    unchanged."""
+    return len(_echelon(A, p, reduced=False)[1])
+
+
+def nullspace_mod_np(A: np.ndarray, p: int):
+    """Canonical nullspace basis over GF(p), read from the reduced row
+    echelon form: one int64 vector per free column, with a 1 there."""
+    R, pivots, _ = _echelon(A, p, reduced=True)
+    return _nullspace_basis(R, pivots, p)
+
 
 class ExactMatrix:
-    """Dense matrix over an exact field; all results verified by construction
-    (nullspace vectors re-checked by substitution)."""
+    """Dense matrix over an exact field, eliminated by ``_echelon`` in the
+    field's arithmetic; nullspace vectors are re-checked by substitution."""
 
     def __init__(self, field: Field, rows):
         self.field = field
@@ -116,58 +131,25 @@ class ExactMatrix:
         for row in self.rows:
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix")
+        self._p = field.char or None  # None over Q
+        self._array = np.array(
+            self.rows, dtype=np.int64 if field.int64 else object).reshape(
+                self.nrows, self.ncols)
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return len(_echelon(self._array, self._p, reduced=False)[1])
 
     def _rref(self):
-        """Reduced row echelon form by one elimination: (rows, pivot columns,
-        det).  det is the product of the pivots, with the sign of the row
-        swaps, when every row has a pivot, and zero otherwise; for a square
-        matrix it is the determinant."""
-        F = self.field
-        R = [list(r) for r in self.rows]
-        pivots = []
-        det = F.one()
-        for c in range(self.ncols):
-            r = len(pivots)
-            if r == self.nrows:
-                break
-            piv = next((i for i in range(r, self.nrows)
-                        if not F.is_zero(R[i][c])), None)
-            if piv is None:
-                continue
-            if piv != r:
-                R[r], R[piv] = R[piv], R[r]
-                det = F.neg(det)
-            det = F.mul(det, R[r][c])
-            inv = F.inv(R[r][c])
-            # entries left of column c are zero in rows r and below
-            row = R[r] = R[r][:c] + [F.mul(inv, v) for v in R[r][c:]]
-            for i in range(self.nrows):
-                f = R[i][c]
-                if i != r and not F.is_zero(f):
-                    R[i] = R[i][:c] + [F.sub(a, F.mul(f, b))
-                                       for a, b in zip(R[i][c:], row[c:])]
-            pivots.append(c)
-        if len(pivots) < self.nrows:
-            det = F.zero()
-        return R, pivots, det
+        """Reduced row echelon form: (R, pivot columns, det) as
+        ``_echelon`` returns them."""
+        return _echelon(self._array, self._p, reduced=True)
 
     def nullspace(self):
         """Basis of the right kernel; canonical (RREF-derived), re-verified."""
         F = self.field
         R, pivots, _ = self._rref()
-        pivset = set(pivots)
-        basis = []
-        for j in range(self.ncols):
-            if j in pivset:
-                continue
-            v = [F.zero()] * self.ncols
-            v[j] = F.one()
-            for i, pc in enumerate(pivots):
-                v[pc] = F.neg(R[i][j])
-            basis.append(v)
+        basis = [[F.coerce(x) for x in v.tolist()]
+                 for v in _nullspace_basis(R, pivots, self._p)]
         for v in basis:
             if not self.maps_to_zero(v):
                 raise ArithmeticError("nullspace vector failed re-substitution")
@@ -184,10 +166,8 @@ class ExactMatrix:
                 return False
         return True
 
-    def nullity(self) -> int:
-        return self.ncols - self.rank()
-
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return self._rref()[2]
+        return self.field.coerce(
+            _echelon(self._array, self._p, reduced=False)[2])

@@ -134,21 +134,6 @@ class HomogPoly:
         a, b, c = covector
         return cls(field, 1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
-    @classmethod
-    def from_terms(cls, field, terms):
-        """Sum of (coefficient, exponent-triple) pairs; must be homogeneous."""
-        acc: dict = {}
-        for c, e in terms:
-            c = field.coerce(c)
-            e = tuple(e)
-            acc[e] = field.add(acc.get(e, field.zero()), c)
-        acc = {e: c for e, c in acc.items() if not field.is_zero(c)}
-        degrees = sorted({sum(e) for e in acc})
-        if len(degrees) > 1:
-            raise HomogeneityError(degrees[-1], degrees[-2])
-        degree = degrees[0] if degrees else -1
-        return cls(field, degree, acc)
-
     # -- queries ------------------------------------------------------
     def is_zero(self):
         return not self.coeffs

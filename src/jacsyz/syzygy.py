@@ -8,9 +8,9 @@ S_r^3 -> S_{r+d-1} realized as an exact matrix.
 ``graded_multiplication_matrix`` fills that matrix with one numpy scatter
 per polynomial: the graded-lex index of (i, j, k) in ``poly.monomials``
 order is s(s+1)/2 + k with s = j + k, in every degree.  Over GF(p) with
-p < 2^31 the matrix is int64 for the ``linalg`` int64 kernel; over Q and
+p < 2^31 the matrix is int64 for ``linalg``'s int64 arithmetic; over Q and
 GF(p) with p >= 2^31 the same scatter fills an object array of exact
-scalars for the generic elimination.
+scalars, which ``ExactMatrix`` eliminates with the same kernel.
 
 ``_mdr_scan`` is the one mdr scan: given an explicit syzygy of degree u (the
 Koszul syzygy for ``mdr``, a paper's syzygy for the trichotomies) it ranks

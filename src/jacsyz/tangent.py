@@ -95,7 +95,7 @@ def _line_points(field, cov, apex):
     for probe in ((field.one(), field.zero(), field.zero()),
                   (field.zero(), field.one(), field.zero()),
                   (field.zero(), field.zero(), field.one())):
-        q = _cross(field, cov, probe)
+        q = _cross(cov, probe)
         if any(not field.is_zero(v) for v in q):
             q = _normalize(field, q)
             if q != apex:
@@ -333,7 +333,7 @@ def _instance_at(h, nodes, cusps, apex, m0, rng):
 
     def line(t0):
         q = tuple(F.add(a, F.mul(t0, b)) for a, b in zip(A, B))
-        return _normalize(F, _cross(F, apex, q))
+        return _normalize(F, _cross(apex, q))
 
     spec = TangentConeSpec(
         h=h, apex=apex, nodes=nodes, cusps=cusps,

@@ -166,13 +166,24 @@ def global_tjurina(f: HomogPoly, backend: Backend | None = None) -> MilnorProfil
     return compute(_profile, f, backend, what="Tjurina profile")
 
 
+def _phi1(d: int, r: int) -> int:
+    """(d-1)^2 - r(d-1-r): the du Plessis-Wall bound for 2r <= d-1, and the
+    tau of a free curve with exponents (r, d-1-r)."""
+    return (d - 1) ** 2 - r * (d - 1 - r)
+
+
+def _phi2(d: int, r: int) -> int:
+    """phi1 - C(2r+2-d, 2): the du Plessis-Wall bound for 2r >= d."""
+    return _phi1(d, r) - comb(2 * r + 2 - d, 2)
+
+
 def dpw_bounds(d: int, r: int):
     """du Plessis-Wall upper bound for tau given r <= mdr: (value, branch)."""
     if not 0 <= r <= d - 1:
         raise ValueError(f"need 0 <= r <= d-1, got r={r}, d={d}")
     if 2 * r <= d - 1:
-        return (d - 1) ** 2 - r * (d - 1 - r), "phi1"
-    return (d - 1) ** 2 - r * (d - r - 1) - comb(2 * r + 2 - d, 2), "phi2"
+        return _phi1(d, r), "phi1"
+    return _phi2(d, r), "phi2"
 
 
 def thmF_gate(d: int, r0: int, tau: int) -> str:
@@ -180,7 +191,7 @@ def thmF_gate(d: int, r0: int, tau: int) -> str:
     free with exponents (r0, d-r0-1); above the bound is inconsistent."""
     if r0 < 1:
         raise ValueError("r0 must be >= 1")
-    bound = (d - 1) ** 2 - r0 * (d - r0 - 1)
+    bound = _phi1(d, r0)
     if tau > bound:
         raise InconsistencyError(
             f"tau={tau} exceeds the bound {bound} for d={d}, r0={r0}: "
@@ -246,7 +257,7 @@ def _saito_verdict(f: HomogPoly, r: int) -> _Verdict | None:
         rho2 = _vector_to_triple(F, vec, d2, d)
         if _cross_multiple(rho1, rho2, grad):
             _reverified(f, rho2)
-            return _Verdict(r, (d - 1) ** 2 - r * d2, "free", (r, d2), rho1)
+            return _Verdict(r, _phi1(d, r), "free", (r, d2), rho1)
     return None
 
 
@@ -255,9 +266,9 @@ def _dpw_verdict(d: int, r: int, tau: int) -> _Verdict:
     equalities; no certificate."""
     if r == 0:
         return _Verdict(r, tau, "cone", None)
-    if 2 * r <= d - 1 and tau == (d - 1) ** 2 - r * (d - 1 - r):
+    if 2 * r <= d - 1 and tau == _phi1(d, r):
         return _Verdict(r, tau, "free", (r, d - 1 - r))
-    if 2 * r <= d and tau == (d - 1) ** 2 - r * (d - r - 1) - 1:
+    if 2 * r <= d and tau == _phi1(d, r) - 1:
         return _Verdict(r, tau, "nearly-free", (r, d - r))
     return _Verdict(r, tau, "neither", None)
 
@@ -302,9 +313,8 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
             f"tau={tau} violates the du Plessis-Wall bound {bound} "
             f"({branch}) at d={d}, r={r}")
     bounds = {
-        "phi1": (d - 1) ** 2 - r * (d - 1 - r),
-        "phi2": ((d - 1) ** 2 - r * (d - r - 1) - comb(2 * r + 2 - d, 2)
-                 if 2 * r + 2 - d >= 0 else None),
+        "phi1": _phi1(d, r),
+        "phi2": _phi2(d, r) if 2 * r + 2 - d >= 0 else None,
         "active": branch,
         "value": bound,
     }

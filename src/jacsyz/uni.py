@@ -97,12 +97,6 @@ class UniPoly:
         c = F.coerce(c)
         return UniPoly(F, [F.mul(c, a) for a in self.coeffs])
 
-    def shift(self, k):
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, [self.field.zero()] * k + self.coeffs)
-
     def divmod(self, other):
         F = self.field
         if other.is_zero():

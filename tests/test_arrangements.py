@@ -58,6 +58,12 @@ def test_tau_combinatorial_is_tau(covs):
     assert tau_combinatorial(A) == global_tjurina(A.f).tau
 
 
+def _field_cross(F, a, b):
+    return (F.sub(F.mul(a[1], b[2]), F.mul(a[2], b[1])),
+            F.sub(F.mul(a[2], b[0]), F.mul(a[0], b[2])),
+            F.sub(F.mul(a[0], b[1]), F.mul(a[1], b[0])))
+
+
 def _reference_lattice(A):
     """The lattice in field arithmetic on the normalized covectors: every
     pairwise point crossed and normalized in A's field."""
@@ -65,8 +71,8 @@ def _reference_lattice(A):
     table = {}
     for i in range(A.d):
         for j in range(i + 1, A.d):
-            pt = _normalize(F, _cross(F, A.lines[i].covector,
-                                      A.lines[j].covector))
+            pt = _normalize(F, _field_cross(F, A.lines[i].covector,
+                                            A.lines[j].covector))
             table.setdefault(pt, set()).update((i, j))
     points = [LatticePoint(pt, len(idx), tuple(sorted(idx)))
               for pt, idx in table.items()]
@@ -255,6 +261,44 @@ def test_cone_construction():
     assert rep.tau == sk.expected_tau
     with pytest.raises(ValueError):
         cone_construction(A, (Fraction(1), Fraction(0), Fraction(0)))
+
+
+@settings(max_examples=60)
+@given(st.tuples(*[st.fractions(-5, 5, max_denominator=3)] * 6),
+       st.sampled_from([QQ, PrimeField(1000003), PrimeField(2**31 + 11)]))
+def test_plain_cross_normalizes_like_the_field_cross(entries, F):
+    a = tuple(F.coerce(v) for v in entries[:3])
+    b = tuple(F.coerce(v) for v in entries[3:])
+    ref = _field_cross(F, a, b)
+    got = _cross(a, b)
+    assert [F.is_zero(v) for v in got] == [F.is_zero(v) for v in ref]
+    if not all(F.is_zero(v) for v in ref):
+        assert repr(_normalize(F, got)) == repr(_normalize(F, ref))
+
+
+def _reference_cone_lines(A, apex):
+    """The lines the cone construction adds, crossed in A's field."""
+    F = A.field
+    apex = _normalize(F, apex)
+    added = []
+    for p in A.lattice().points:
+        cov = _normalize(F, _field_cross(F, apex, p.point))
+        if cov not in added:
+            added.append(cov)
+    return added
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names()
+                                  if get_fixture(n).arrangement is not None])
+def test_cone_lines_match_the_field_cross(name):
+    A = get_fixture(name).arrangement
+    for apex in [(1, 2, 7), (3, 5, 11), (2, 3, 13)]:
+        apex = tuple(A.field.coerce(v) for v in apex)
+        B, sk = cone_construction(A, apex)
+        added = _reference_cone_lines(A, apex)
+        assert repr([l.covector for l in B.lines]) == repr(
+            [l.covector for l in A.lines] + added)
+        assert sk.m == len(added)
 
 
 def test_lattice_isomorphic_projective_images():

@@ -1,7 +1,8 @@
 """Static hygiene of the package: no module of src/jacsyz imports a name it
-never uses.  AST only, nothing is imported.  A name counts as used when the
-module reads it, lists it in ``__all__``, or is an alias that the
-benchmark's tracer (perfbench/spans.py, LAYERS) expects to find there."""
+never uses, and no private helper is left without a caller.  AST only,
+nothing is imported.  An imported name counts as used when the module reads
+it, lists it in ``__all__``, or is an alias that the benchmark's tracer
+(perfbench/spans.py, LAYERS) expects to find there."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,30 @@ def unused_imports(tree, module, allowed=frozenset()):
                   if name not in used and (module, name) not in allowed)
 
 
+def orphaned_helpers(trees):
+    """(module, line, name) of every ``_private`` function, class or method
+    defined in ``trees`` (module name -> AST) that no tree reads as a Name,
+    an Attribute or a name of a ``from`` import.  Dunders are not private."""
+    defined, read = [], set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__")
+                                                 and name.endswith("__")):
+                    defined.append((module, node.lineno, name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
 def test_traced_aliases_are_read_from_spans():
     assert ("tjurina", "mdr") in traced_aliases()
     assert ("tjurina", "rank_mod_np") in traced_aliases()
@@ -62,3 +87,23 @@ def test_no_unused_imports_in_package():
         for line, name in unused_imports(tree, path.stem, allowed):
             found.append(f"{path.name}:{line}: {name}")
     assert found == []
+
+
+def test_checker_finds_an_orphaned_helper():
+    trees = {
+        "a": ast.parse("def _used(): pass\n"
+                       "def _orphan(): pass\n"
+                       "class _C:\n"
+                       "    def _m(self): pass\n"
+                       "    def __init__(self): self._n = _used\n"
+                       "    def _called(self): return self._n\n"
+                       "_C()._called()\n"),
+        "b": ast.parse("from .a import _C\n"),
+    }
+    assert orphaned_helpers(trees) == [("a", 2, "_orphan"), ("a", 4, "_m")]
+
+
+def test_no_orphaned_helpers_in_package():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_helpers(trees) == []

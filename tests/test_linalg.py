@@ -1,5 +1,10 @@
+import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacsyz import linalg
+from jacsyz.backend import make_backend
 from jacsyz.fields import PrimeField, QQ, random_primes
-from jacsyz.linalg import (ExactMatrix, _echelon_mod_np, nullspace_mod_np,
-                           rank_mod_np)
+from jacsyz.fixtures import get_fixture
+from jacsyz.linalg import ExactMatrix, _echelon, nullspace_mod_np, rank_mod_np
+from jacsyz.syzygy import graded_multiplication_matrix
 
 P = random_primes(1, seed=11)[0]
 BIG = PrimeField(2**31 + 11)  # above the int64 kernel's range
@@ -84,14 +91,14 @@ def test_modular_nullspace(rows):
 @given(matrices)
 def test_rref_idempotent(rows):
     A = np.array(rows, dtype=np.int64) % P
-    R, piv = _echelon_mod_np(A, P, reduced=True)
-    R2, piv2 = _echelon_mod_np(R, P, reduced=True)
+    R, piv, _ = _echelon(A, P, reduced=True)
+    R2, piv2, _ = _echelon(R, P, reduced=True)
     assert (R == R2).all() and piv == piv2
     assert (A == np.array(rows, dtype=np.int64) % P).all()  # input unchanged
     # the echelon form finds the same pivots; its rows span the same space
-    E, piv3 = _echelon_mod_np(A, P, reduced=False)
+    E, piv3, _ = _echelon(A, P, reduced=False)
     assert piv3 == piv and rank_mod_np(R, P) == len(piv)
-    assert (_echelon_mod_np(E, P, reduced=True)[0] == R).all()
+    assert (_echelon(E, P, reduced=True)[0] == R).all()
 
 
 # the int64 kernel against the remainder-based kernel it replaced -----------
@@ -102,7 +109,7 @@ LIMIT = 2**31 - 1  # the largest prime of the int64 kernel
 def _reference_echelon(A, p, reduced):
     """The elimination reducing by ``% p`` (a hardware division per entry),
     with the Fermat inverse and a boolean-mask gather of the rows to update.
-    ``_echelon_mod_np`` must return the same (R, pivots) bit for bit."""
+    ``_echelon`` must return the same (R, pivots) bit for bit."""
     R = A.copy()
     rows, cols = R.shape
     pivots = []
@@ -135,7 +142,7 @@ def _assert_kernel_matches_reference(A, p):
         # a block of 3 entries splits every row update into several blocks
         for block in (linalg._BLOCK, 3):
             with mock.patch.object(linalg, "_BLOCK", block):
-                R, piv = _echelon_mod_np(A, p, reduced)
+                R, piv, _ = _echelon(A, p, reduced)
             assert R.dtype == R0.dtype == np.int64
             assert piv == piv0 and np.array_equal(R, R0)
 
@@ -249,4 +256,164 @@ def test_prime_field_matrix():
     F = PrimeField(P)
     M = ExactMatrix(F, [[F.coerce(1), F.coerce(2)],
                         [F.coerce(2), F.coerce(4)]])
-    assert M.rank() == 1 and M.nullity() == 1
+    assert M.rank() == 1 and len(M.nullspace()) == 1
+
+
+# the one elimination against the list-based row reduction it replaced ------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FIELDS = [QQ, PrimeField(P), BIG]
+FIELD_IDS = ["Q", "Fp", "Fp_big"]
+
+
+def _reference_rref(F, rows):
+    """The generic Gauss-Jordan elimination over lists of field scalars that
+    ``ExactMatrix._rref`` ran before it delegated to ``_echelon``: (reduced
+    rows, pivot columns, det), det being zero unless every row has a pivot."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    R = [list(r) for r in rows]
+    pivots = []
+    det = F.one()
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if not F.is_zero(R[i][c])),
+                   None)
+        if piv is None:
+            continue
+        if piv != r:
+            R[r], R[piv] = R[piv], R[r]
+            det = F.neg(det)
+        det = F.mul(det, R[r][c])
+        inv = F.inv(R[r][c])
+        row = R[r] = R[r][:c] + [F.mul(inv, v) for v in R[r][c:]]
+        for i in range(nrows):
+            f = R[i][c]
+            if i != r and not F.is_zero(f):
+                R[i] = R[i][:c] + [F.sub(a, F.mul(f, b))
+                                   for a, b in zip(R[i][c:], row[c:])]
+        pivots.append(c)
+    if len(pivots) < nrows:
+        det = F.zero()
+    return R, pivots, det
+
+
+def _assert_matches_reference_rref(F, rows):
+    M = ExactMatrix(F, rows)
+    R0, piv0, det0 = _reference_rref(F, M.rows)
+    R, piv, det = M._rref()
+    # repr tells Fraction(1, 1) from 1: the same scalars, not only equal ones
+    assert repr(R.tolist()) == repr(R0)
+    assert piv == piv0 and F.coerce(det) == det0
+    E, piv_e, det_e = _echelon(M._array, M._p, reduced=False)
+    assert piv_e == piv0 and F.coerce(det_e) == det0
+    assert (_echelon(E, M._p, reduced=True)[0] == R).all()
+    assert M.rank() == len(piv0)
+    if M.nrows == M.ncols:
+        assert repr(M.det()) == repr(det0)
+    assert repr(M._array.tolist()) == repr(M.rows)  # input unchanged
+
+
+entries = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(-3, 3, max_denominator=4))
+exact_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.integers(1 if n else 0, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(entries, min_size=m, max_size=m), min_size=n,
+            max_size=n)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=60, deadline=None)
+@given(rows=exact_matrices, repeat=st.booleans(), zero=st.booleans())
+def test_one_elimination_matches_reference_rref(field, rows, repeat, zero):
+    # a repeated row makes the matrix singular, a zero row leaves it without
+    # a pivot, and a zero first row swaps rows
+    if rows and repeat:
+        rows = rows + [rows[0]]
+    if rows and zero:
+        rows = [[0] * len(rows[0])] + rows
+    _assert_matches_reference_rref(
+        field, [[field.coerce(v) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_det_sign_of_permutation_matrices(field):
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            rows = [[field.coerce(int(perm[i] == j)) for j in range(n)]
+                    for i in range(n)]
+            inversions = sum(perm[i] > perm[j]
+                             for i in range(n) for j in range(i + 1, n))
+            assert ExactMatrix(field, rows).det() == field.coerce(
+                (-1) ** inversions)
+            if n <= 4:
+                _assert_matches_reference_rref(field, rows)
+
+
+@lru_cache(maxsize=None)
+def _deck_matrices():
+    """Every exact matrix that 4 rounds of the seed-1 generic_arrangements
+    deck build: the Q-pencil discriminant's Macaulay matrices and the
+    rational-backend classify's matrices (the arrangement jobs run in the
+    int64 kernel only)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    captured = []
+    init = ExactMatrix.__init__
+
+    def spy(self, field, rows):
+        init(self, field, rows)
+        captured.append((field, self.rows))
+
+    ctx = workloads.Context(make_backend(seed=1), make_backend("rational"))
+    deck = workloads.generate(workloads.WORKLOADS["generic_arrangements"], 1)
+    with mock.patch.object(ExactMatrix, "__init__", spy):
+        for rnd in deck[:4]:
+            for inp in rnd:
+                if inp.kind in ("pencil", "rational"):
+                    workloads.build_objects(inp)
+                    workloads.JOBS[inp.kind](inp, ctx)
+    return captured
+
+
+def test_one_elimination_matches_reference_on_deck_matrices():
+    mats = _deck_matrices()
+    shapes = Counter((len(rows), len(rows[0])) for _, rows in mats)
+    # Macaulay matrices of the degree-2 partials of a k = 3 pencil and
+    # their 3 x 3 minors, plus a rank and a certificate nullspace a round
+    assert shapes[15, 15] == shapes[3, 3] > 0
+    assert len(mats) == 2 * shapes[15, 15] + 8
+    assert {F for F, _ in mats} == {QQ}
+    for F, rows in mats:
+        _assert_matches_reference_rref(F, rows)
+
+
+def test_one_elimination_matches_reference_on_a_milnor_matrix():
+    # tau's one rank at k = 3d-5 for d = 6, over Q: a 105 x 135 matrix
+    f = get_fixture("ex14ii:4").f
+    d = f.degree
+    rows = graded_multiplication_matrix(list(f.gradient()), 2 * d - 4,
+                                        3 * d - 5)
+    assert (len(rows), len(rows[0])) == (105, 135)
+    _assert_matches_reference_rref(QQ, rows)
+
+
+def test_rank_and_det_take_the_echelon_form_and_nullspace_the_rref():
+    rows = [[QQ.coerce(v) for v in row] for row in [[0, 2, 1], [1, 1, 1],
+                                                    [1, 3, 2]]]
+    M = ExactMatrix(QQ, rows)
+    with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as ech, \
+            mock.patch.object(ExactMatrix, "_rref", autospec=True,
+                              side_effect=ExactMatrix._rref) as rref:
+        assert M.rank() == 2 and M.det() == 0
+        assert [c.kwargs["reduced"] for c in ech.call_args_list] == [
+            False, False]
+        assert rref.call_count == 0
+        assert len(M.nullspace()) == 1
+        assert rref.call_count == 1
+        assert ech.call_args_list[-1].kwargs["reduced"] is True

@@ -12,8 +12,7 @@ def homog(degree, max_coeff=9):
     mons = monomials(degree)
     return st.lists(st.integers(-max_coeff, max_coeff),
                     min_size=len(mons), max_size=len(mons)).map(
-        lambda cs: HomogPoly.from_terms(
-            QQ, [(Fraction(c), m) for c, m in zip(cs, mons)]))
+        lambda cs: HomogPoly(QQ, degree, dict(zip(mons, cs))))
 
 
 def test_parse_round_trip():

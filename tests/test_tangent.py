@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from jacsyz.tangent import (TangentConeSpec, TangentValidationError,
@@ -26,6 +28,24 @@ def test_cuspidal_instance():
     assert detail["tau"] == 27
     rep = classify(f)
     assert rep.classification == "free" and rep.exponents == (3, 3)
+
+
+# sha256 of repr(find_tangent_instance(kind, seed)), seeds 0-4, as computed
+# when the lines through the apex were crossed in field arithmetic
+INSTANCE_DIGESTS = {
+    "nodal": ["571bd83fb8634703", "2d8c81677164f474", "8a401a496b3cc42d",
+              "7bf34c3bcf73b3fe", "b25bf6ca1870d9ce"],
+    "cuspidal": ["eeaa5b57cbb1e15f", "a67733ae69a0f1f8", "f3a57fd78d3b2b0e",
+                 "fca7c40c1638b115", "4db620314087c62d"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INSTANCE_DIGESTS))
+def test_instances_are_unchanged(kind):
+    digests = [hashlib.sha256(repr(find_tangent_instance(kind, seed))
+                              .encode()).hexdigest()[:16]
+               for seed in range(5)]
+    assert digests == INSTANCE_DIGESTS[kind]
 
 
 def test_find_is_deterministic():

@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 
 from jacsyz.backend import make_backend
 from jacsyz.fields import PrimeField, random_primes
+from jacsyz.fixtures import get_fixture
 from jacsyz.poly import poly_parse
 from jacsyz.tjurina import (classify, dpw_bounds, global_tjurina, thmF_gate)
 
@@ -68,6 +71,37 @@ def test_dpw_bounds():
     # for r >= d/2 the phi2 branch is active and smaller
     bound_lo, _ = dpw_bounds(5, 2)
     assert dpw_bounds(5, 3)[0] <= bound_lo
+
+
+def _literal_phi(d, r):
+    """phi1 and phi2 written out, as du Plessis and Wall state them."""
+    phi1 = (d - 1) ** 2 - r * (d - 1 - r)
+    phi2 = (d - 1) ** 2 - r * (d - r - 1) - comb(2 * r + 2 - d, 2) \
+        if 2 * r + 2 - d >= 0 else None
+    return phi1, phi2
+
+
+def test_dpw_bounds_match_the_written_out_formulas():
+    for d in range(1, 14):
+        for r in range(d):
+            phi1, phi2 = _literal_phi(d, r)
+            expected = (phi1, "phi1") if 2 * r <= d - 1 else (phi2, "phi2")
+            assert dpw_bounds(d, r) == expected
+            if r >= 1:
+                assert thmF_gate(d, r, phi1) == "attained"
+
+
+def test_report_bounds_match_the_written_out_formulas():
+    backend = make_backend(seed=0)
+    phi2_null = 0
+    for name in ["ex1", "ex2b", "ex14ii:3", "ex14ii:5", "ex14iip:5"]:
+        rep = classify(get_fixture(name).f, backend)
+        phi1, phi2 = _literal_phi(rep.d, rep.mdr)
+        value, branch = dpw_bounds(rep.d, rep.mdr)
+        assert rep.to_json()["bounds"] == {
+            "phi1": phi1, "phi2": phi2, "active": branch, "value": value}
+        phi2_null += phi2 is None
+    assert phi2_null == 3  # 2r + 2 - d < 0 reports "phi2": null
 
 
 def test_dpw_is_respected_by_classify():
