@@ -13,8 +13,9 @@ from math import comb, gcd, lcm
 from .backend import Backend
 from .fields import Field, QQ
 from .poly import HomogPoly
-from .syzygy import SyzygyTriple, _mdr_scan, mdr, verify_syzygy
-from .tjurina import FreenessReport, InconsistencyError, _trichotomy, classify
+from .syzygy import SyzygyTriple, mdr, verify_syzygy
+from .tjurina import (FreenessReport, InconsistencyError, _seeded_mdr,
+                      _trichotomy, classify)
 
 __all__ = [
     "ProjLine",
@@ -295,11 +296,8 @@ def multiplicity_bound_check(A: LineArrangement,
                              backend: Backend | None = None):
     """m(A) >= 2d/(mdr+2), compared exactly over the rationals; mdr is
     scanned below the syzygy of a point of highest multiplicity."""
-    top = A.lattice().top()
-    m = top.multiplicity
-    r = _mdr_scan(A.f, A.d - m, lambda: _point_triple(A, top), backend,
-                  top=True)
-    rhs = Fraction(2 * A.d, r + 2)
+    m = A.lattice().top().multiplicity
+    rhs = Fraction(2 * A.d, _seeded_mdr(A.f, backend) + 2)
     return m, rhs, Fraction(m) >= rhs
 
 

@@ -69,7 +69,7 @@ class Field:
         return str(a)
 
     def scalar_from_str(self, s):
-        raise NotImplementedError
+        return self.coerce(Fraction(s))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.tag == other.tag
@@ -127,9 +127,6 @@ class RationalField(Field):
 
     def is_zero(self, a):
         return a == 0
-
-    def scalar_from_str(self, s):
-        return Fraction(s)
 
 
 class PrimeField(Field):
@@ -189,9 +186,6 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return a % self.p == 0
-
-    def scalar_from_str(self, s):
-        return self.coerce(Fraction(s))
 
 
 QQ = RationalField()

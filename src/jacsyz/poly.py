@@ -145,9 +145,6 @@ class HomogPoly:
     def __hash__(self):
         return hash((self.field, self.degree, frozenset(self.coeffs.items())))
 
-    def coeff(self, exp):
-        return self.coeffs.get(tuple(exp), self.field.zero())
-
     def leading_term(self):
         """(exponent, coefficient) maximal in graded-lex order."""
         if self.is_zero():
@@ -320,12 +317,7 @@ class HomogPoly:
 
     def map_field(self, new_field: Field):
         """Reinterpret the coefficients in another exact backend."""
-        out = {}
-        for e, c in self.coeffs.items():
-            v = new_field.coerce(c)
-            if not new_field.is_zero(v):
-                out[e] = v
-        return HomogPoly(new_field, self.degree if out else -1, out)
+        return HomogPoly(new_field, self.degree, self.coeffs)
 
     def normalized(self):
         """Scale so the graded-lex leading coefficient is 1."""

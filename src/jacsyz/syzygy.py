@@ -40,7 +40,7 @@ import numpy as np
 from .backend import Backend, compute
 from .fields import Field, QQ
 from .linalg import ExactMatrix, nullspace_mod_np, rank_mod_np
-from .poly import HomogPoly, homog_gcd, monomial_count, monomials, poly_parse
+from .poly import HomogPoly, homog_gcd, monomial_count, monomials
 
 __all__ = [
     "SyzygyTriple",
@@ -84,15 +84,6 @@ class SyzygyTriple:
             "b": self.b.to_str(),
             "c": self.c.to_str(),
         }
-
-    @classmethod
-    def from_json(cls, data: dict, field: Field, f_degree: int) -> "SyzygyTriple":
-        return cls(
-            poly_parse(data["a"], field),
-            poly_parse(data["b"], field),
-            poly_parse(data["c"], field),
-            f_degree,
-        )
 
 
 @dataclass(frozen=True)

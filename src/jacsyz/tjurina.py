@@ -19,7 +19,9 @@ one of three routes:
   (Euler's relation puts the local equation in its Jacobian ideal, since
   the characteristic is 0 or p > d >= m).  No Milnor-algebra rank is taken.
 - Saito.  Every other curve gets mdr from the scan seeded by the Koszul
-  syzygy at d-1.  A free curve is proved by Saito's criterion, in the
+  syzygy at d-1 (``mdr``, the checked vote: only the first voting prime
+  scans), and the Saito / Hilbert verdict at that mdr is voted in every
+  field.  A free curve is proved by Saito's criterion, in the
   plane-curve form of Dimca-Sticlaru: with 2r <= d-1, f is free with
   exponents (r, d-1-r) iff syzygies rho1, rho2 of degrees r and d-1-r have
   rho1 x rho2 = c * grad f with c != 0, and then tau = (d-1)^2 - r(d-1-r).
@@ -36,6 +38,11 @@ field on every route (the Saito route's rho1 is that vector), so a curve
 gets the same report whichever route decides it.  It is one verified
 vector: of that nullspace only basis vector 0 is converted to a triple and
 re-verified (``ar_slice`` still returns the whole verified basis).
+
+``_seeded_mdr`` is the one place that picks a curve's seed, for ``classify``
+and ``multiplicity_bound_check``; the rest of ``classify`` (``_report``)
+reports at a given, already voted mdr.  The free case of ``_trichotomy``
+reports at the mdr its own scan found, so it does not scan again.
 
 ``classify`` and ``global_tjurina`` share one input gate, run before any
 linear algebra.  It takes the fields from ``backend.fields_for``, which
@@ -278,33 +285,30 @@ def _hilbert_verdict(f: HomogPoly, r: int) -> _Verdict:
     return _dpw_verdict(f.degree, r, _profile(f).tau)
 
 
-def _verdict(f: HomogPoly) -> _Verdict:
-    """mdr, tau, class and exponents of f over its own field."""
-    r = mdr(f)
-    return _saito_verdict(f, r) or _hilbert_verdict(f, r)
+def _route(f: HomogPoly):
+    """``LineArrangement._route`` of the arrangement f records, or None."""
+    return f._arrangement._route() if f._arrangement is not None else None
 
 
-def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
-    """Compute r = mdr(f) and tau, then decide free / nearly free / neither /
-    cone with exponents and a syzygy certificate.
+def _seeded_mdr(f: HomogPoly, backend: Backend | None) -> int:
+    """mdr(f) by the one checked scan, seeded by a point of highest
+    multiplicity (ranked at u-1 first) on the arrangement route and by the
+    Koszul syzygy (``mdr``) otherwise: where a curve's scan starts."""
+    route = _route(f)
+    return (mdr(f, backend) if route is None
+            else _mdr_scan(f, *route[:2], backend, top=True))
 
-    The product of a ``LineArrangement``'s lines takes the arrangement
-    route: mdr scanned below the degree d - m_max of a point syzygy, and the
-    combinatorial tau = sum (m_p - 1)^2, with no Milnor-algebra rank.  Any
-    other polynomial, including the same coefficients given as text, takes
-    the Saito route where it proves a free curve and the Hilbert route
-    otherwise.  All routes give the same report; see the module docstring."""
+
+def _report(f: HomogPoly, image: HomogPoly, r: int,
+            backend: Backend | None) -> FreenessReport:
+    """``classify``'s report of f at its voted mdr r (``image`` from
+    ``_admit``); only the Saito / Hilbert verdict is voted here."""
     d = f.degree
-    image = _admit(f, backend)
-    route = f._arrangement._route() if f._arrangement is not None else None
-    if route is None:
-        verdict = compute(_verdict, f, backend, what="classification")
-    else:
-        u, seed, tau = route
-        verdict = _dpw_verdict(d, _mdr_scan(f, u, seed, backend, top=True),
-                               tau)
-    r, tau = verdict.mdr, verdict.tau
-
+    route = _route(f)
+    verdict = _dpw_verdict(d, r, route[2]) if route is not None else compute(
+        lambda g: _saito_verdict(g, r) or _hilbert_verdict(g, r), f, backend,
+        what="classification")
+    tau = verdict.tau
     certificate = verdict.certificate or _first_syzygy(image, r)
 
     bound, branch = dpw_bounds(d, r)
@@ -330,6 +334,21 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     )
 
 
+def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
+    """Compute r = mdr(f) and tau, then decide free / nearly free / neither /
+    cone with exponents and a syzygy certificate.
+
+    mdr is scanned once (``_seeded_mdr``) and the rest reported at it.  The
+    product of a ``LineArrangement``'s lines takes the arrangement route:
+    mdr scanned below the degree d - m_max of a point syzygy, and the
+    combinatorial tau = sum (m_p - 1)^2, with no Milnor-algebra rank.  Any
+    other polynomial, including the same coefficients given as text, takes
+    the Saito route where it proves a free curve and the Hilbert route
+    otherwise.  All routes give the same report; see the module docstring."""
+    image = _admit(f, backend)
+    return _report(f, image, _seeded_mdr(f, backend), backend)
+
+
 def _trichotomy(f: HomogPoly, u: int, build,
                 backend: Backend | None = None, top: bool = False):
     """The paper's case split for f with an explicit syzygy of degree u
@@ -338,7 +357,8 @@ def _trichotomy(f: HomogPoly, u: int, build,
     ("generic"), or mdr = d-1-u and f free with exponents (d-1-u, u)
     ("free"), or d-u <= mdr <= u-1 ("middle").  Returns (case, mdr, the
     range the case allows for mdr, the ``classify`` report of the free
-    case or None); any other outcome raises InconsistencyError."""
+    case, made at this r without a second scan, or None); any other outcome
+    raises InconsistencyError."""
     d = f.degree
     r = _mdr_scan(f, u, build, backend, top)
     if r == u:
@@ -348,7 +368,7 @@ def _trichotomy(f: HomogPoly, u: int, build,
     if r != d - 1 - u:
         raise InconsistencyError(
             f"mdr={r} < d-1-u={d - 1 - u} with a degree-{u} syzygy")
-    report = classify(f, backend)
+    report = _report(f, _admit(f, backend), r, backend)
     if not (report.classification == "free" and report.exponents == (r, u)):
         raise InconsistencyError(
             f"mdr=d-1-u={r} promises free ({r}, {u}), got "

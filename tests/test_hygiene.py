@@ -44,12 +44,28 @@ def unused_imports(tree, module, allowed=frozenset()):
                   if name not in used and (module, name) not in allowed)
 
 
+def names_read(tree):
+    """Every name ``tree`` reads as a Name, an Attribute or a name of a
+    ``from`` import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def orphaned_helpers(trees):
     """(module, line, name) of every ``_private`` function, class or method
-    defined in ``trees`` (module name -> AST) that no tree reads as a Name,
-    an Attribute or a name of a ``from`` import.  Dunders are not private."""
+    defined in ``trees`` (module name -> AST) that no tree reads
+    (``names_read``).  Dunders are not private."""
     defined, read = [], set()
     for module, tree in trees.items():
+        read |= names_read(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -57,14 +73,6 @@ def orphaned_helpers(trees):
                 if name.startswith("_") and not (name.startswith("__")
                                                  and name.endswith("__")):
                     defined.append((module, node.lineno, name))
-            elif isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                           ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
-                                                                ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
     return sorted(d for d in defined if d[2] not in read)
 
 
@@ -107,3 +115,11 @@ def test_no_orphaned_helpers_in_package():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_helpers(trees) == []
+
+
+def test_only_syzygy_and_tjurina_read_the_mdr_scan():
+    # tjurina._seeded_mdr is the one place that picks a curve's seed; every
+    # other module scans through it, ``mdr`` or ``_trichotomy``
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               if "_mdr_scan" in names_read(ast.parse(path.read_text()))}
+    assert readers == {"syzygy", "tjurina"}

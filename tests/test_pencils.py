@@ -8,7 +8,7 @@ from jacsyz import pencils
 from jacsyz.backend import BackendDisagreement
 from jacsyz.cli import main
 from jacsyz.fields import QQ
-from jacsyz.fixtures import get_fixture
+from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.pencils import (PencilProductSpec, PencilSpec, _split_members,
                             build_member, build_product, discriminant,
                             genericity_check, lemma2_syzygy,
@@ -54,11 +54,17 @@ def test_product_rejects_nonreduced():
 
 
 def test_spec_json_round_trip():
-    spec = get_fixture("ex12ii").spec
-    text = spec.to_json_str() if hasattr(spec, "to_json_str") else \
-        json.dumps(spec.to_json(), sort_keys=True)
-    again = PencilProductSpec.from_json(json.loads(text))
-    assert build_product(again) == build_product(spec)
+    # every pencil-product fixture, with groups, h and include_q2=False
+    specs = [get_fixture(n).spec for n in fixture_names()
+             if get_fixture(n).spec is not None]
+    assert len(specs) == 13
+    assert any(s.groups for s in specs) and any(s.h for s in specs)
+    assert any(not s.include_q2 for s in specs)
+    for spec in specs:
+        again = PencilProductSpec.from_json_str(
+            json.dumps(spec.to_json(), sort_keys=True))
+        assert again.to_json() == spec.to_json()
+        assert build_product(again) == build_product(spec)
 
 
 def test_wedge_syzygy_degree_and_verification():

@@ -20,7 +20,7 @@ from jacsyz.cli import main
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.poly import HomogPoly, homog_gcd, is_reduced, poly_parse
-from jacsyz.syzygy import ar_slice, graded_multiplication_matrix
+from jacsyz.syzygy import ar_slice, graded_multiplication_matrix, mdr
 from jacsyz.tjurina import NotReducedError, classify, global_tjurina
 
 _hilbert_profile = tjurina._profile
@@ -200,7 +200,8 @@ def test_bad_first_prime_is_refused_not_voted():
     f = poly_parse(f"x^2*y*z + {p}*(x^4 + y^4 + z^4)")
     image = f.map_field(PrimeField(p))
     assert is_reduced(f) and not is_reduced(image)
-    assert tjurina._verdict(image) == tjurina._Verdict(1, 7, "free", (1, 2))
+    assert tjurina._saito_verdict(image, mdr(image)) == tjurina._Verdict(
+        1, 7, "free", (1, 2))
     for primes in ([p], [p, q]):
         with pytest.raises(NotReducedError, match=f"or {p} is a bad prime"):
             classify(f, make_backend(primes=primes))
@@ -371,14 +372,14 @@ def test_route_with_a_voting_prime_in_the_seed():
 
 def _takes_the_bare_path(g, backend):
     calls = []
-    real = tjurina._verdict
+    real = tjurina._saito_verdict
 
-    def verdict(h):
+    def verdict(h, r):
         calls.append(h.degree)
-        return real(h)
+        return real(h, r)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tjurina, "_verdict", verdict)
+        mp.setattr(tjurina, "_saito_verdict", verdict)
         rep = classify(g, backend)
     assert calls
     return rep

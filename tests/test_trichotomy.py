@@ -13,6 +13,7 @@ vote with each prime's own scan.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -27,7 +28,7 @@ from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.pencils import (base_locus_zero_dimensional, build_product,
                             thm11_trichotomy, thm13_trichotomy)
-from jacsyz.poly import HomogPoly, monomials, poly_parse
+from jacsyz.poly import HomogPoly, is_reduced, monomials, poly_parse
 from jacsyz.syzygy import SyzygyTriple, _mdr_scan, ar_dimension, mdr
 from jacsyz.tjurina import InconsistencyError, classify, thmF_gate
 
@@ -431,6 +432,34 @@ def test_later_fields_only_check_the_mdr(text, monkeypatch):
     assert seen == _expected_ranks(f, BACKEND, r, f.degree - 1)
 
 
+BARE_CURVES = ([t for t in CURVES if is_reduced(poly_parse(t))]
+               + [pytest.param(get_fixture(n).f.to_str(), id=n)
+                  for n in ("ex3", "ex12ii")])
+
+
+@pytest.mark.parametrize("text", BARE_CURVES)
+def test_classify_of_a_bare_curve_checks_the_mdr_in_later_fields(
+        text, monkeypatch):
+    # the Saito / Hilbert verdict is voted at the mdr the first field found,
+    # so no field after the first scans
+    f = poly_parse(text)
+    r = _reference_mdr(f, BACKEND)
+    seen = _ranks_by_field(monkeypatch)
+    assert classify(f, BACKEND).mdr == r
+    assert seen == _expected_ranks(f, BACKEND, r, f.degree - 1)
+
+
+@pytest.mark.parametrize("name", ["ex12i:4", "ex12i:5"])
+def test_the_free_case_of_thm11_scans_once(name, monkeypatch):
+    spec = get_fixture(name).spec
+    f = build_product(spec)
+    seen = _ranks_by_field(monkeypatch)
+    case = thm11_trichotomy(spec, BACKEND)
+    assert case.case == "free" and case.report.classification == "free"
+    assert seen == _expected_ranks(f, BACKEND, case.r,
+                                   2 * spec.pencil.k - 2)
+
+
 @pytest.mark.parametrize("name", ARRANGEMENTS)
 def test_later_fields_only_check_the_arrangement_mdr(name, monkeypatch):
     A = get_fixture(name).arrangement
@@ -461,10 +490,9 @@ def test_a_top_seed_ranks_its_degree_first(name, u, r, monkeypatch):
     for fn in (lambda: classify(A.f, BACKEND),
                lambda: multiplicity_bound_check(A, BACKEND)):
         assert _first_field_ranks(monkeypatch, fn, A) == expected
-    # the free case (ex2a) scans again in the classify it reports
-    scans = 2 if r == A.d - 1 - u else 1
+    # the free case (ex2a) reports at that mdr without scanning again
     assert _first_field_ranks(
-        monkeypatch, lambda: trichotomy(A, top, BACKEND), A) == expected * scans
+        monkeypatch, lambda: trichotomy(A, top, BACKEND), A) == expected
 
 
 def test_a_lower_point_ranks_upward_from_zero(monkeypatch):
@@ -489,9 +517,9 @@ def test_a_bad_prime_in_any_position_gives_the_same_disagreement(position):
     assert answers == list(zip([F.tag for F in backend.fields],
                                _field_scans(A.f, backend)))
     message = f"backend disagreement on mdr: {answers}"
-    for fn in (classify, mdr):
+    for f, fn in product((A.f, poly_parse(A.f.to_str())), (classify, mdr)):
         with pytest.raises(BackendDisagreement) as exc:
-            fn(A.f, backend)
+            fn(f, backend)
         assert str(exc.value) == message
         assert (exc.value.what, exc.value.answers) == ("mdr", answers)
 
