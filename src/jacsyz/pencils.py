@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .backend import Backend, agree, make_backend
 from .fields import Field, PrimeField, QQ, parse_field_tag, random_primes
 from .linalg import ExactMatrix
-from .poly import (HomogPoly, homog_gcd, is_reduced, monomial_index,
+from .poly import (HomogPoly, dot, homog_gcd, is_reduced, monomial_index,
                    monomials, poly_parse)
 from .syzygy import SyzygyTriple, is_cone, verify_syzygy
 from .tjurina import (InconsistencyError, NotReducedError, _trichotomy,
@@ -227,7 +227,8 @@ def _wedge(u: HomogPoly, v: HomogPoly):
     """Cofactors of du ^ dv in the basis (dy^dz, dz^dx, dx^dy)."""
     ux, uy, uz = u.gradient()
     vx, vy, vz = v.gradient()
-    return (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+    return (dot((uy, -uz), (vz, vy)), dot((uz, -ux), (vx, vz)),
+            dot((ux, -uy), (vy, vx)))
 
 
 def wedge_syzygy(P: PencilSpec, f: HomogPoly) -> SyzygyTriple:

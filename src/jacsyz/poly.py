@@ -3,12 +3,16 @@
 The term order is graded lexicographic with x > y > z, fixed globally, so
 printed certificates are byte-stable.
 
-Products over GF(p) with p < 2^31 run on an int64 numpy grid (``_mul_int64``):
-a form of degree d is a (d+1) x (d+1) array indexed by the exponents (j, k)
-of y and z.  Over Q the product clears denominators and multiplies Python
-ints (``_mul_rational``); over GF(p) with p >= 2^31 it is the generic loop
-over pairs of terms (``_mul_terms``).  A polynomial computes its
-gradient once and keeps it; nothing changes ``coeffs`` after construction.
+Every product, and every sum of products u_1*v_1 + ... + u_n*v_n, is one
+``dot``; the field alone picks its arithmetic.  Over GF(p) with p < 2^31 it
+is one int64 numpy pass (``_dot_int64``) on the (j, k) grid of exponents of
+y and z: all term pairs at once, each product of two residues (below 2^62)
+reduced below p, one scatter-add into the grid, one final ``% p``.  A grid cell receives fewer than 2^31 reduced terms, so every sum
+stays below 2^62 and the pass is exact.  Over Q each product clears
+denominators and multiplies Python ints (``_mul_rational``); over GF(p)
+with p >= 2^31 it is the generic loop over pairs of terms (``_mul_terms``).
+A polynomial computes its gradient once and keeps it; nothing changes
+``coeffs`` after construction.
 
 The product that ``LineArrangement.f`` returns also records its arrangement
 (``_arrangement``), so that ``classify`` can take the paper's route for it.
@@ -36,9 +40,13 @@ __all__ = [
     "homog_gcd",
     "monomials",
     "monomial_count",
+    "dot",
 ]
 
 VARS = ("x", "y", "z")
+
+# Term pairs ``_dot_int64`` holds at a time; bounds its temporaries.
+_PAIR_CHUNK = 1 << 14
 
 
 class HomogeneityError(ValueError):
@@ -184,14 +192,7 @@ class HomogPoly:
         return HomogPoly(F, self.degree, {e: F.neg(c) for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        self._check_field(other)
-        if self.is_zero() or other.is_zero():
-            return HomogPoly.zero(self.field)
-        if self.field.int64:
-            return _mul_int64(self, other)
-        if self.field.char == 0:
-            return _mul_rational(self, other)
-        return _mul_terms(self, other)
+        return dot((self,), (other,))
 
     def scale(self, c):
         F = self.field
@@ -223,7 +224,7 @@ class HomogPoly:
             v = F.mul(F.coerce(e[i]), c)
             if not F.is_zero(v):
                 out[tuple(ne)] = v
-        return HomogPoly(F, self.degree - 1 if out else -1, out)
+        return HomogPoly._trusted(F, self.degree - 1, out)
 
     def gradient(self):
         """(p_x, p_y, p_z), computed on the first call and kept."""
@@ -435,29 +436,67 @@ def _mul_rational(a: HomogPoly, b: HomogPoly) -> HomogPoly:
         mons[index[e]]: Fraction(v, den) for e, v in out.items() if v})
 
 
-def _mul_int64(a: HomogPoly, b: HomogPoly) -> HomogPoly:
-    """Product of two nonzero forms over GF(p), p < 2^31, on the (j, k)
-    exponent grid: one shifted ``win += c*B; win %= p`` per term of the
-    factor with fewer terms.  Exact in int64, since c*B <= (p-1)^2 < 2^62
-    and the window holds residues below p."""
-    if len(a.coeffs) > len(b.coeffs):
-        a, b = b, a
-    p = a.field.p
-    n = b.degree + 1
-    B = np.zeros((n, n), dtype=np.int64)
-    exps = np.array(list(b.coeffs), dtype=np.int64)
-    B[exps[:, 1], exps[:, 2]] = list(b.coeffs.values())
-    D = a.degree + b.degree
-    out = np.zeros((D + 1, D + 1), dtype=np.int64)
-    for (_, j, k), c in a.coeffs.items():
-        win = out[j:j + n, k:k + n]
-        win += c * B
-        win %= p
-    js, ks = np.nonzero(out)
-    vals = out[js, ks].tolist()
-    return HomogPoly._trusted(a.field, D, {
-        (D - j - k, j, k): v
-        for j, k, v in zip(js.tolist(), ks.tolist(), vals)})
+def dot(us, vs) -> HomogPoly:
+    """u_1*v_1 + ... + u_n*v_n for forms over one field, whose nonzero
+    products all have one degree (HomogeneityError otherwise).  The field
+    alone picks the arithmetic: the int64 grid for GF(p) with p < 2^31,
+    otherwise ``_mul_rational`` or ``_mul_terms`` per pair and their sum."""
+    F = us[0].field
+    pairs = []
+    for u, v in zip(us, vs, strict=True):
+        us[0]._check_field(u)
+        u._check_field(v)
+        if not (u.is_zero() or v.is_zero()):
+            pairs.append((u, v))
+    if not pairs:
+        return HomogPoly.zero(F)
+    D, *other = {u.degree + v.degree for u, v in pairs}
+    if other:
+        raise HomogeneityError(D, other[0])
+    if F.int64:
+        return _dot_int64(F, D, pairs)
+    mul = _mul_rational if F.char == 0 else _mul_terms
+    return sum((mul(u, v) for u, v in pairs), HomogPoly.zero(F))
+
+
+def _dot_int64(F: Field, D: int, pairs) -> HomogPoly:
+    """``dot`` over GF(p), p < 2^31, on the (j, k) exponent grid of degree
+    D: y^j z^k sits in cell j(D+1) + k, so the cell of a product of terms
+    is the sum of their cells.  The term pairs of all factor pairs are
+    formed at once as outer products, each product reduced below p, and
+    added into their cells by one ``np.add.at``, in blocks of at most
+    ``_PAIR_CHUNK`` pairs (or one row of a factor pair, if that is more);
+    one ``% p`` at the end."""
+    p, n = F.p, D + 1
+    grid = np.zeros(n * n, dtype=np.int64)
+    cells, values, held = [], [], 0
+    for u, v in pairs:
+        (ui, uc), (vi, vc) = _cells(u, n), _cells(v, n)
+        step = max(1, _PAIR_CHUNK // vc.size)
+        for lo in range(0, uc.size, step):
+            rows = slice(lo, lo + step)
+            size = min(step, uc.size - lo) * vc.size
+            if cells and held + size > _PAIR_CHUNK:
+                np.add.at(grid, np.concatenate(cells), np.concatenate(values))
+                cells, values, held = [], [], 0
+            cells.append((ui[rows, None] + vi).ravel())
+            values.append((uc[rows, None] * vc % p).ravel())
+            held += size
+    np.add.at(grid, np.concatenate(cells), np.concatenate(values))
+    grid %= p
+    nonzero = np.flatnonzero(grid)
+    j, k = np.divmod(nonzero, n)
+    s = j + k
+    mons = monomials(D)
+    return HomogPoly._trusted(F, D, {
+        mons[i]: c for i, c in zip((s * (s + 1) // 2 + k).tolist(),
+                                   grid[nonzero].tolist())})
+
+
+def _cells(u: HomogPoly, n: int):
+    """Grid cells j*n + k and coefficients of u's terms, as int64 arrays."""
+    return (np.array([j * n + k for _, j, k in u.coeffs], dtype=np.int64),
+            np.array(list(u.coeffs.values()), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import numpy as np
 from .backend import Backend, compute
 from .fields import Field, QQ
 from .linalg import ExactMatrix, nullspace_mod_np, rank_mod_np
-from .poly import HomogPoly, homog_gcd, monomial_count, monomials
+from .poly import HomogPoly, dot, homog_gcd, monomial_count, monomials
 
 __all__ = [
     "SyzygyTriple",
@@ -98,15 +98,14 @@ class DegreeMismatchError(ValueError):
 
 
 def verify_syzygy(f: HomogPoly, s: SyzygyTriple) -> bool:
-    """Pure recomputation of a*f_x + b*f_y + c*f_z; no trust in the input."""
+    """Pure recomputation of a*f_x + b*f_y + c*f_z from the exponents, in
+    one ``dot``; no trust in the input, and independent of
+    ``graded_multiplication_matrix``, which built the nullspaces whose
+    vectors this re-verifies."""
     degs = {p.degree for p in s.components() if not p.is_zero()}
     if len(degs) > 1:
         raise DegreeMismatchError(f"mixed component degrees {sorted(degs)}")
-    fx, fy, fz = f.gradient()
-    acc = HomogPoly.zero(f.field)
-    for coeff, part in ((s.a, fx), (s.b, fy), (s.c, fz)):
-        acc = acc + coeff * part
-    return acc.is_zero()
+    return dot(s.components(), f.gradient()).is_zero()
 
 
 def is_primitive(s: SyzygyTriple) -> bool:
@@ -179,7 +178,7 @@ def _vector_to_triple(field, vec, r: int, d: int) -> SyzygyTriple:
             v = field.coerce(vec[b * mc + i])
             if not field.is_zero(v):
                 coeffs[m] = v
-        comps.append(HomogPoly(field, r if coeffs else -1, coeffs))
+        comps.append(HomogPoly._trusted(field, r, coeffs))
     return SyzygyTriple(comps[0], comps[1], comps[2], d)
 
 

@@ -64,7 +64,7 @@ from math import comb
 
 from .backend import Backend, compute, describe, fields_for
 from .linalg import rank_mod_np
-from .poly import HomogPoly, is_reduced, monomial_count
+from .poly import HomogPoly, dot, is_reduced, monomial_count
 from .syzygy import (SyzygyTriple, _first_syzygy, _mdr_scan, _reverified,
                      _slice_nullspace, _vector_to_triple, ar_dimension,
                      ar_slice, graded_multiplication_matrix, mdr)
@@ -230,9 +230,9 @@ def _cross_multiple(s1: SyzygyTriple, s2: SyzygyTriple, grad) -> bool:
                     _product_coeff(u[k], v[j], exp)), lead)
     if F.is_zero(c):
         return False
-    cross = (u[1] * v[2] - u[2] * v[1],
-             u[2] * v[0] - u[0] * v[2],
-             u[0] * v[1] - u[1] * v[0])
+    cross = (dot((u[1], -u[2]), (v[2], v[1])),
+             dot((u[2], -u[0]), (v[0], v[2])),
+             dot((u[0], -u[1]), (v[1], v[0])))
     return all(w == g.scale(c) for w, g in zip(cross, grad))
 
 

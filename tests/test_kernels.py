@@ -1,10 +1,13 @@
 """The int64 kernels around the elimination, tested against the generic
 code they sit beside: the numpy scatter that fills a graded multiplication
-matrix against a per-term loop, the grid product of GF(p) forms against the
-term-by-term product, and the kept gradient against fresh partials."""
+matrix against a per-term loop, the grid product and sum of products of
+GF(p) forms (``dot``) against the term-by-term product, ``verify_syzygy``
+and ``diff`` against the accumulate-by-``+`` and per-term references they
+replace, and the kept gradient against fresh partials."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 from jacsyz import poly as poly_module
 from jacsyz.backend import make_backend
 from jacsyz.fields import PrimeField, QQ
-from jacsyz.poly import (HomogPoly, _mul_int64, _mul_rational, _mul_terms,
-                         monomial_count, monomial_index, monomials, poly_parse)
-from jacsyz.syzygy import graded_multiplication_matrix
+from jacsyz.poly import (HomogeneityError, HomogPoly, _mul_rational,
+                         _mul_terms, dot, monomial_count, monomial_index,
+                         monomials, poly_parse)
+from jacsyz.syzygy import (DegreeMismatchError, SyzygyTriple, _primitive,
+                           graded_multiplication_matrix, verify_syzygy)
 from jacsyz.tjurina import classify
 
 INT64_LIMIT = PrimeField(2**31 - 1)  # the largest prime of the int64 kernels
@@ -121,7 +126,7 @@ def test_grid_product_matches_term_product(field, data):
         assert product.is_zero()
         return
     expected = _mul_terms(a, b)
-    assert _mul_int64(a, b).coeffs == expected.coeffs
+    assert dot((a,), (b,)).coeffs == expected.coeffs
     assert product == expected and product.degree == a.degree + b.degree
     assert all(type(v) is int and 0 < v < field.p
                for v in product.coeffs.values())
@@ -138,7 +143,7 @@ def test_grid_product_of_dense_forms_and_constants(field):
                  (HomogPoly.constant(field, top), dense),
                  (dense, HomogPoly.constant(field, 2)),
                  (HomogPoly.constant(field, 3), HomogPoly.constant(field, 4))]:
-        assert _mul_int64(a, b) == _mul_terms(a, b) == a * b
+        assert dot((a,), (b,)) == _mul_terms(a, b) == a * b
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,6 +169,297 @@ def test_generic_product_outside_the_int64_range(field):
     assert a * b == _mul_terms(a, b)
     assert (a * b).evaluate((2, 3, 5)) == field.mul(a.evaluate((2, 3, 5)),
                                                    b.evaluate((2, 3, 5)))
+
+
+# sums of products (dot) against the term-by-term product --------------------
+
+INT64_FIELDS = [PrimeField(5), PrimeField(1000003), INT64_LIMIT]
+
+
+def term_sum(us, vs):
+    """The reference: ``_mul_terms`` per nonzero pair, summed by ``+``."""
+    F = us[0].field
+    out = HomogPoly.zero(F)
+    for u, v in zip(us, vs):
+        if not (u.is_zero() or v.is_zero()):
+            out = out + _mul_terms(u, v)
+    return out
+
+
+@pytest.mark.parametrize("field", INT64_FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dot_of_several_pairs_matches_term_sums(field, data):
+    e = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(1, 4))
+    us = [data.draw(forms(field, e, e)) for _ in range(n)]
+    vs = []
+    for _ in range(n):
+        d = data.draw(st.integers(0, 4))
+        vs.append(data.draw(forms(field, d, d)))
+    # every nonzero product must have one degree: align each v to the first
+    # nonzero pair's total, or zero it
+    total = None
+    for i, (u, v) in enumerate(zip(us, vs)):
+        if u.is_zero() or v.is_zero():
+            continue
+        if total is None:
+            total = u.degree + v.degree
+        elif u.degree + v.degree != total:
+            vs[i] = HomogPoly.zero(field)
+    got = dot(us, vs)
+    assert got == term_sum(us, vs)
+    assert all(type(c) is int and 0 < c < field.p
+               for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_dot_cancels_across_pairs(field):
+    rng = random.Random(f"cancel:{field}")
+    u, v = random_form(rng, field, 3), random_form(rng, field, 4)
+    assert dot((u, -u), (v, v)).is_zero()
+    assert dot((u, -u), (v, v)).degree == -1
+    w = random_form(rng, field, 4)
+    # (u, v) + (-u, v) + (u, w) leaves exactly u*w
+    assert dot((u, -u, u), (v, v, w)) == _mul_terms(u, w)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_dot_with_zero_factors(field):
+    rng = random.Random(f"zero:{field}")
+    zero = HomogPoly.zero(field)
+    u, v = random_form(rng, field, 2), random_form(rng, field, 5)
+    assert dot((zero,), (v,)).is_zero() and dot((u,), (zero,)).is_zero()
+    assert dot((zero, zero), (zero, zero)).is_zero()
+    # a zero pair of another degree takes no part in the degree check
+    x3 = HomogPoly(field, 3, {(3, 0, 0): 1})
+    assert dot((u, zero, x3), (v, x3, zero)) == _mul_terms(u, v)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_dot_refuses_a_degree_mismatch(field):
+    x, y2 = poly_parse("x", field), poly_parse("y^2", field)
+    with pytest.raises(HomogeneityError):
+        dot((x, x), (x, y2))
+    with pytest.raises(ValueError):
+        dot((x,), (x, x))  # the two sequences differ in length
+
+
+def test_dot_of_dense_pairs_with_every_coefficient_top():
+    # every coefficient p-1 at the largest int64 prime: each cell sums
+    # many reduced (p-1)^2 products from several pairs
+    field, top = INT64_LIMIT, INT64_LIMIT.p - 1
+    dense = [HomogPoly(field, e, {m: top for m in monomials(e)})
+             for e in (5, 6)]
+    us, vs = [dense[0]] * 4, [dense[1]] * 4
+    assert dot(us, vs) == term_sum(us, vs)
+    assert dot(us, vs) == (dense[0] * dense[1]).scale(4)
+
+
+@pytest.mark.parametrize("field", INT64_FIELDS, ids=str)
+def test_dot_across_chunk_boundaries(field):
+    # blocks of at most 3 term pairs (or one row) instead of one block
+    rng = random.Random(f"chunk:{field}")
+    us = [random_form(rng, field, 3, density=1.0) for _ in range(3)]
+    vs = [random_form(rng, field, 4, density=1.0) for _ in range(2)]
+    vs.append(poly_parse("(x + 2*y)*z^3", field))  # two terms: 3 // 2 rows
+    whole = dot(us, vs)
+    assert whole == term_sum(us, vs)
+    for chunk in (1, 3, 7):
+        with mock.patch.object(poly_module, "_PAIR_CHUNK", chunk):
+            assert dot(us, vs) == whole
+            assert us[0] * vs[0] == _mul_terms(us[0], vs[0])
+
+
+# verify_syzygy and diff against the references they replace ----------------
+
+def reference_verify(f, s):
+    """The accumulate-by-``+`` verification: three products (the generic
+    ones: ``_mul_rational`` over Q, else ``_mul_terms``), two sums."""
+    degs = {p.degree for p in s.components() if not p.is_zero()}
+    if len(degs) > 1:
+        raise DegreeMismatchError(f"mixed component degrees {sorted(degs)}")
+    mul = _mul_rational if f.field == QQ else _mul_terms
+    acc = HomogPoly.zero(f.field)
+    for i, coeff in enumerate(s.components()):
+        part = reference_diff(f, i)
+        if not (coeff.is_zero() or part.is_zero()):
+            acc = acc + mul(coeff, part)
+    return acc.is_zero()
+
+
+def reference_diff(p, i):
+    """The per-term derivative through the checking constructor."""
+    F = p.field
+    out = {}
+    for e, c in p.coeffs.items():
+        if e[i] == 0:
+            continue
+        ne = list(e)
+        ne[i] -= 1
+        v = F.mul(F.coerce(e[i]), c)
+        if not F.is_zero(v):
+            out[tuple(ne)] = v
+    return HomogPoly(F, p.degree - 1 if out else -1, out)
+
+
+def perturbed(s):
+    """s with one coefficient raised by 1, in a component whose partner in
+    the gradient is nonzero (so the sum is no longer zero)."""
+    comps = list(s.components())
+    i = next(i for i, q in enumerate(comps) if not q.is_zero())
+    F = comps[i].field
+    e = min(comps[i].coeffs)
+    table = dict(comps[i].coeffs)
+    table[e] = F.add(table[e], F.one())
+    comps[i] = HomogPoly(F, s.degree, table)
+    return SyzygyTriple(*comps, s.f_degree)
+
+
+def mapped(f, s, field):
+    return f.map_field(field), SyzygyTriple(
+        *(q.map_field(field) for q in s.components()), s.f_degree)
+
+
+def fixture_syzygies():
+    """(label, f, s): every point syzygy of every arrangement fixture (a
+    rational one made primitive and also mapped into BIG and each seed-0
+    voting prime), and every fixture's reported certificate in its own
+    field."""
+    from jacsyz.arrangements import lattice, point_syzygy
+    from jacsyz.fixtures import fixture_names, get_fixture
+    backend = make_backend(seed=0)
+    primes = [BIG] + [PrimeField(p) for p in backend.primes]
+    out = []
+    for name in fixture_names():
+        fx = get_fixture(name)
+        A = fx.arrangement
+        if A is not None:
+            for i, pt in enumerate(lattice(A).points):
+                s = _primitive(point_syzygy(A, pt))
+                for F in [A.field] + (primes if A.field == QQ else []):
+                    out.append((f"{name} point {i} {F}", *mapped(A.f, s, F)))
+        if fx.f is not None:
+            cert = classify(fx.f, backend).certificate
+            out.append((f"{name} certificate", fx.f.map_field(cert.field),
+                        cert))
+    return out
+
+
+@pytest.fixture(scope="module")
+def syzygies():
+    return fixture_syzygies()
+
+
+def test_fixture_syzygies_cover_every_field(syzygies):
+    tags = {s.field.tag for _, _, s in syzygies}
+    assert {"Q", BIG.tag} <= tags and len(tags) >= 5
+    assert len(syzygies) > 400
+
+
+def test_verify_matches_the_reference_on_fixture_syzygies(syzygies):
+    for label, f, s in syzygies:
+        assert verify_syzygy(f, s), label
+        assert reference_verify(f, s), label
+
+
+def test_verify_rejects_every_perturbed_fixture_syzygy(syzygies):
+    for label, f, s in syzygies:
+        bad = perturbed(s)
+        assert not verify_syzygy(f, bad), label
+        assert not reference_verify(f, bad), label
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_verify_refuses_mixed_degrees(field):
+    f = poly_parse("x^3 + y^3 + z^3", field)
+    s = SyzygyTriple(poly_parse("x", field), poly_parse("y", field),
+                     poly_parse("x^2", field), 3)
+    for check in (verify_syzygy, reference_verify):
+        with pytest.raises(DegreeMismatchError):
+            check(f, s)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_diff_matches_the_per_term_reference(field):
+    rng = random.Random(f"diff:{field}")
+    for e in (0, 1, 4, 7):
+        p = random_form(rng, field, e)
+        for i in range(3):
+            assert p.diff(i) == reference_diff(p, i)
+            assert p.diff(i).degree == reference_diff(p, i).degree
+
+
+def test_diff_drops_exponents_divisible_by_the_characteristic():
+    F = PrimeField(5)
+    p = poly_parse("x^5*y + 2*x^4*y^2 + x^6 + y^6", F)
+    dx = p.diff(0)
+    assert dx == reference_diff(p, 0) == poly_parse("3*x^3*y^2 + x^5", F)
+    # every exponent of x is 0 or 5: the whole x-derivative vanishes
+    q = poly_parse("x^5*z + y^6 + 3*x^5*y", F)
+    for dq in (q.diff(0), reference_diff(q, 0)):
+        assert dq.is_zero() and dq.degree == -1 and dq.coeffs == {}
+    assert q.diff(2) == reference_diff(q, 2) == poly_parse("x^5", F)
+
+
+# one GF(p) product path -----------------------------------------------------
+
+def spy(monkeypatch, name):
+    """Count the calls of ``poly.<name>``, still running it."""
+    calls = []
+    real = getattr(poly_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poly_module, name, counted)
+    return calls
+
+
+def forbid(monkeypatch, *methods):
+    for method in methods:
+        def refused(*args, _m=method):
+            raise AssertionError(f"HomogPoly.{_m} was called")
+        monkeypatch.setattr(poly_module.HomogPoly, method, refused)
+
+
+@pytest.mark.parametrize("field", INT64_FIELDS[1:], ids=str)
+def test_int64_verification_is_one_kernel_call(monkeypatch, field):
+    f = poly_parse("x*y*(x+y)*(x-2*z)*(y+3*z)*(x+y+z)", field)
+    fx, fy, _ = f.gradient()
+    s = SyzygyTriple(fy, -fx, HomogPoly.zero(field), f.degree)
+    kernel = spy(monkeypatch, "_dot_int64")
+    terms = spy(monkeypatch, "_mul_terms")
+    forbid(monkeypatch, "__mul__", "__add__", "__sub__")
+    assert verify_syzygy(f, s)
+    assert len(kernel) == 1 and len(kernel[0][2]) == 2 and not terms
+
+
+@pytest.mark.parametrize("field", INT64_FIELDS, ids=str)
+def test_int64_products_go_through_the_kernel(monkeypatch, field):
+    a = poly_parse("x^2 + 3*y*z", field)
+    b = poly_parse("x - y + 2*z", field)
+    kernel = spy(monkeypatch, "_dot_int64")
+    terms = spy(monkeypatch, "_mul_terms")
+    rational = spy(monkeypatch, "_mul_rational")
+    product = a * b
+    assert len(kernel) == 1 and len(kernel[0][2]) == 1
+    assert not terms and not rational
+    assert product == poly_parse("(x^2 + 3*y*z)*(x - y + 2*z)", field)
+
+
+@pytest.mark.parametrize("field, path", [(BIG, "_mul_terms"),
+                                         (QQ, "_mul_rational")], ids=str)
+def test_only_fields_outside_int64_leave_the_kernel(monkeypatch, field, path):
+    a = poly_parse("x^2 + 3*y*z", field)
+    b = poly_parse("x - y + 2*z", field)
+    kernel = spy(monkeypatch, "_dot_int64")
+    fallback = spy(monkeypatch, path)
+    f = a * b
+    fx, fy, _ = f.gradient()
+    assert verify_syzygy(f, SyzygyTriple(fy, -fx, HomogPoly.zero(field), 3))
+    assert not kernel and len(fallback) == 3
 
 
 # one gradient per polynomial ------------------------------------------------
