@@ -2,9 +2,10 @@
 nearly free classification of reduced plane curves, together with
 line-arrangement combinatorics, pencil constructions and discriminants.
 
-All arithmetic is exact: rationals or prime fields GF(p).  Rational results
-are computed by a voting modular backend and cross-checked; nothing in this
-package ever touches floating point.
+All arithmetic is exact: rationals or prime fields GF(p), deg f < p < 2^31
+(int64 residues in numpy).  Rational results are computed by a voting
+modular backend and cross-checked; nothing in this package ever touches
+floating point.
 """
 
 from .arrangements import (IntersectionLattice, LatticePoint, LineArrangement,

@@ -12,7 +12,7 @@ from math import comb, gcd, lcm
 
 from .backend import Backend
 from .fields import Field, QQ
-from .poly import HomogPoly
+from .poly import HomogPoly, dot
 from .syzygy import SyzygyTriple, mdr, verify_syzygy
 from .tjurina import (FreenessReport, InconsistencyError, _seeded_mdr,
                       _trichotomy, classify)
@@ -243,10 +243,9 @@ def _point_triple(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
     for i, line in enumerate(A.lines):
         if i not in p.lines:
             h = h * line.form()
-    Dh = HomogPoly.zero(F)
-    for c, h_i in zip(p.point, h.gradient()):
-        Dh = Dh + h_i.scale(c)
-    comps = [HomogPoly.variable(F, i) * Dh - h.scale(F.mul(F.coerce(d), c))
+    Dh = dot([HomogPoly.constant(F, c) for c in p.point], h.gradient())
+    comps = [dot((HomogPoly.variable(F, i), h),
+                 (Dh, HomogPoly.constant(F, F.mul(F.coerce(-d), c))))
              for i, c in enumerate(p.point)]
     return SyzygyTriple(comps[0], comps[1], comps[2], d)
 

@@ -2,7 +2,7 @@
 
 ``compute`` decides where a computation on a curve f runs.  A rational f
 under the modular backend runs in every GF(p) of three independent random
-primes > 2^30 and the results are cross-checked; any disagreement aborts
+primes in (2^30, 2^31) and the results are cross-checked; any disagreement aborts
 with a diagnostic.  Everything else runs in f's own field: f without a
 backend, f under the rational (exact) backend, and a curve over GF(p).  No
 computation runs in GF(p) with p <= deg f, where a partial derivative can

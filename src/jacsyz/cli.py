@@ -278,8 +278,9 @@ def cmd_suite(args) -> int:
 def _add_common(p):
     p.add_argument("--field",
                    help="base field of an inline polynomial or a file: Q or "
-                        "Fp:<prime> (default Q); refused with a fixture name "
-                        "or a pencil spec, and by suite")
+                        "Fp:<prime>, GF(p) with deg f < p < 2^31 (default "
+                        "Q); refused with a fixture name or a pencil spec, "
+                        "and by suite")
     p.add_argument("--primes", type=int, default=3,
                    help="number of voting primes for the modular backend "
                         "(refused by suite)")

@@ -1,8 +1,11 @@
-"""Exact coefficient fields: rationals and prime fields GF(p).
+"""Exact coefficient fields: rationals and prime fields GF(p), p < 2^31.
 
 Scalars are plain Python values (``fractions.Fraction`` over Q, ints in
 ``[0, p)`` over GF(p)); all arithmetic goes through the field object, so
 polynomial and matrix code is backend-agnostic.  No floating point anywhere.
+A product of two residues stays below 2^62, so the kernels in ``poly`` and
+``linalg`` compute over GF(p) in numpy int64; ``PrimeField`` refuses any
+prime they cannot hold.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ class Field:
 
     tag: str
     char: int
-    # GF(p) with p < 2^31: a product of two residues stays below 2^62, so
-    # numpy int64 arithmetic on residues is exact (the fast kernels' range)
-    int64 = False
 
     def coerce(self, x):
         raise NotImplementedError
@@ -130,10 +130,12 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    """GF(p) with elements stored as ints in ``[0, p)``.
+    """GF(p), 2 < p < 2^31, with elements stored as ints in ``[0, p)``.
 
     Division by the zero residue raises; rationals whose denominator is
-    divisible by p are rejected at coercion time.
+    divisible by p are rejected at coercion time.  A prime of 2^31 or more
+    is refused (FieldError): every entry point that names a prime builds
+    its field here.
     """
 
     char: int
@@ -141,12 +143,14 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if p <= 2:
             raise FieldError("prime must exceed 2")
+        if p >= 2**31:
+            raise FieldError(f"GF(p) needs p < 2^31 for its int64 "
+                             f"arithmetic, got p = {p}")
         if not is_probable_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p
         self.tag = f"Fp:{p}"
-        self.int64 = p < 2**31
 
     def coerce(self, x):
         p = self.p

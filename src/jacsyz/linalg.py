@@ -1,16 +1,14 @@
 """Exact rank / nullspace / determinant computations.
 
-One elimination, ``_echelon``, in three arithmetics picked from p alone:
+One elimination, ``_echelon``, in two arithmetics picked from p alone:
 
-* GF(p) with p < 2^31: int64 residues.  A row update ``a - f*b`` on
-  residues lies in (-(p-1)^2, p), inside (-2^62, 2^31), and is reduced by
+* GF(p), p < 2^31: int64 residues.  A row update ``a - f*b`` on residues
+  lies in (-(p-1)^2, p), inside (-2^62, 2^31), and is reduced by
   ``a - (a // p)*p``: numpy divides an int64 array by a scalar with a
   precomputed multiply-and-shift (libdivide), about twice as fast as ``%``,
   which divides each entry in hardware.  Floor division, unlike truncation,
   gives a result in [0, p) for a negative ``a`` too, and the quotient's
   product with p lies in (-2^62, 2^31), so nothing overflows.
-* GF(p) with p >= 2^31: Python ints in an object array, reduced by the same
-  floor division, which numpy applies entry by entry.
 * Q (p None): Fractions in an object array, with no reduction step.
 
 The rows to update are gathered in blocks of at most ``_BLOCK`` entries,
@@ -23,6 +21,8 @@ with a 1 there.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,13 +38,12 @@ _BLOCK = 1 << 15
 
 def _echelon(A: np.ndarray, p: int | None, reduced: bool):
     """Row echelon form of A with pivots scaled to 1; the rows above each
-    pivot are cleared too when ``reduced``.  Over GF(p) A holds residues in
-    [0, p), int64 for p < 2^31 and Python ints in an object array
-    otherwise; over Q (p None) it holds Fractions in an object array.  A is
-    left unchanged.  Returns (R, pivot columns, det), where det is the
-    product of the pivots with the sign of the row swaps (mod p over GF(p))
-    when every row has a pivot, and 0 otherwise: for a square A, its
-    determinant."""
+    pivot are cleared too when ``reduced``.  Over GF(p) A holds int64
+    residues in [0, p); over Q (p None) it holds Fractions in an object
+    array.  A is left unchanged.  Returns (R, pivot columns, det), where
+    det is the product of the pivots with the sign of the row swaps (mod p
+    over GF(p)) when every row has a pivot, and 0 otherwise: for a square
+    A, its determinant."""
     R = A.copy()
     rows, cols = R.shape
     pivots = []
@@ -67,7 +66,8 @@ def _echelon(A: np.ndarray, p: int | None, reduced: bool):
             prow[:] = prow * pow(a, -1, p) % p
         else:
             det *= prow[0]
-            prow[:] = prow * (1 / prow[0])
+            # a Fraction even when the pivot is an int: 1 / 2 would be 0.5
+            prow[:] = prow * (Fraction(1) / prow[0])
         # below the pivot, only the rows r + nz[1:] are nonzero in column c:
         # the row swapped down to r + nz[0] was zero there
         idx = nz[1:] + r
@@ -121,20 +121,21 @@ def nullspace_mod_np(A: np.ndarray, p: int):
 
 class ExactMatrix:
     """Dense matrix over an exact field, eliminated by ``_echelon`` in the
-    field's arithmetic; nullspace vectors are re-checked by substitution."""
+    field's arithmetic; nullspace vectors are re-checked by substitution.
+    A is an array or a list of rows of the field's scalars, taken as they
+    are: residues in [0, p), held as int64, over GF(p); Fractions, held in
+    an object array, over Q."""
 
-    def __init__(self, field: Field, rows):
+    def __init__(self, field: Field, A):
         self.field = field
-        self.rows = [[field.coerce(v) for v in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
         self._p = field.char or None  # None over Q
-        self._array = np.array(
-            self.rows, dtype=np.int64 if field.int64 else object).reshape(
-                self.nrows, self.ncols)
+        A = np.asarray(A, dtype=np.int64 if self._p else object)
+        if A.ndim == 1 and A.size == 0:  # no rows
+            A = A.reshape(0, 0)
+        if A.ndim != 2:
+            raise ValueError("ragged matrix")
+        self._array = A
+        self.nrows, self.ncols = A.shape
 
     def rank(self) -> int:
         return len(_echelon(self._array, self._p, reduced=False)[1])
@@ -156,15 +157,12 @@ class ExactMatrix:
         return basis
 
     def maps_to_zero(self, v) -> bool:
+        """A v = 0, summed in Python scalars, over the nonzero entries."""
         F = self.field
-        for row in self.rows:
-            acc = F.zero()
-            for a, b in zip(row, v):
-                if not F.is_zero(a) and not F.is_zero(b):
-                    acc = F.add(acc, F.mul(a, b))
-            if not F.is_zero(acc):
-                return False
-        return True
+        cols = [j for j, b in enumerate(v) if not F.is_zero(b)]
+        w = [v[j] for j in cols]
+        return all(F.is_zero(sum(a * b for a, b in zip(row, w) if a))
+                   for row in self._array[:, cols].tolist())
 
     def det(self):
         if self.nrows != self.ncols:

@@ -257,12 +257,8 @@ def lemma2_syzygy(P: PencilSpec, h: HomogPoly, m: int,
     w12 = _wedge(P.q1, P.q2)
     w1h = _wedge(P.q1, h)
     w2h = _wedge(P.q2, h)
-    comps = []
-    for i in range(3):
-        t1 = (h * w12[i]).scale(F.coerce(-m))
-        t2 = (P.q2 * w1h[i]).scale(F.coerce(-1))
-        t3 = P.q1 * w2h[i]
-        comps.append(t1 + t2 + t3)
+    comps = [dot((h, P.q2, P.q1), (w12[i].scale(-m), -w1h[i], w2h[i]))
+             for i in range(3)]
     triple = SyzygyTriple(comps[0], comps[1], comps[2], f.degree)
     if triple.is_zero():
         raise ArithmeticError("three-term syzygy vanished")

@@ -4,15 +4,14 @@ The term order is graded lexicographic with x > y > z, fixed globally, so
 printed certificates are byte-stable.
 
 Every product, and every sum of products u_1*v_1 + ... + u_n*v_n, is one
-``dot``; the field alone picks its arithmetic.  Over GF(p) with p < 2^31 it
+``dot``; the field picks one of two arithmetics.  Over GF(p), p < 2^31, it
 is one int64 numpy pass (``_dot_int64``) on the (j, k) grid of exponents of
 y and z: all term pairs at once, each product of two residues (below 2^62)
-reduced below p, one scatter-add into the grid, one final ``% p``.  A grid cell receives fewer than 2^31 reduced terms, so every sum
-stays below 2^62 and the pass is exact.  Over Q each product clears
-denominators and multiplies Python ints (``_mul_rational``); over GF(p)
-with p >= 2^31 it is the generic loop over pairs of terms (``_mul_terms``).
-A polynomial computes its gradient once and keeps it; nothing changes
-``coeffs`` after construction.
+reduced below p, one scatter-add into the grid, one final ``% p``.  A grid
+cell receives fewer than 2^31 reduced terms, so every sum stays below 2^62
+and the pass is exact.  Over Q each product clears denominators and
+multiplies Python ints (``_mul_rational``).  A polynomial computes its
+gradient once and keeps it; nothing changes ``coeffs`` after construction.
 
 The product that ``LineArrangement.f`` returns also records its arrangement
 (``_arrangement``), so that ``classify`` can take the paper's route for it.
@@ -251,8 +250,9 @@ class HomogPoly:
         """p(M x) for a 3x3 matrix M: each variable is replaced by the
         corresponding row's linear form."""
         F = self.field
+        if self.is_zero():
+            return self
         rows = [HomogPoly.linear(F, [F.coerce(v) for v in row]) for row in matrix]
-        out = HomogPoly.zero(F)
         # cache powers of the three linear forms
         max_e = [0, 0, 0]
         for e in self.coeffs:
@@ -262,10 +262,10 @@ class HomogPoly:
         for i in range(3):
             for _ in range(max_e[i]):
                 powers[i].append(powers[i][-1] * rows[i])
-        for e, c in self.coeffs.items():
-            term = powers[0][e[0]] * powers[1][e[1]] * powers[2][e[2]]
-            out = out + term.scale(c)
-        return out
+        # the sum over the terms c x^i y^j z^k of (L_0^i L_1^j) * (c L_2^k)
+        terms = self.coeffs.items()
+        return dot([powers[0][i] * powers[1][j] for (i, j, _), _ in terms],
+                   [powers[2][k].scale(c) for (_, _, k), c in terms])
 
     def restrict_binary(self, pa, pb):
         """Coefficients [c_0..c_d] of p(s*A + r*B) with c_m the coefficient
@@ -310,11 +310,8 @@ class HomogPoly:
 
     def euler_combination(self):
         """x*p_x + y*p_y + z*p_z (equals deg * p in good characteristic)."""
-        F = self.field
-        out = HomogPoly.zero(F)
-        for i, part in enumerate(self.gradient()):
-            out = out + HomogPoly.variable(F, i) * part
-        return out
+        return dot([HomogPoly.variable(self.field, i) for i in range(3)],
+                   self.gradient())
 
     def map_field(self, new_field: Field):
         """Reinterpret the coefficients in another exact backend."""
@@ -398,21 +395,6 @@ class HomogPoly:
         return f"HomogPoly({self.field}, {self.to_str()})"
 
 
-def _mul_terms(a: HomogPoly, b: HomogPoly) -> HomogPoly:
-    """Product of two nonzero forms over any field: every pair of terms."""
-    F = a.field
-    out: dict = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            s = F.add(out.get(e, F.zero()), F.mul(c1, c2))
-            if F.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return HomogPoly._trusted(F, a.degree + b.degree, out)
-
-
 def _mul_rational(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     """Product of two nonzero forms over Q in Python ints: each factor
     times the lcm of its denominators, every pair of terms, then one
@@ -438,9 +420,8 @@ def _mul_rational(a: HomogPoly, b: HomogPoly) -> HomogPoly:
 
 def dot(us, vs) -> HomogPoly:
     """u_1*v_1 + ... + u_n*v_n for forms over one field, whose nonzero
-    products all have one degree (HomogeneityError otherwise).  The field
-    alone picks the arithmetic: the int64 grid for GF(p) with p < 2^31,
-    otherwise ``_mul_rational`` or ``_mul_terms`` per pair and their sum."""
+    products all have one degree (HomogeneityError otherwise): the int64
+    grid over GF(p), ``_mul_rational`` per pair and their sum over Q."""
     F = us[0].field
     pairs = []
     for u, v in zip(us, vs, strict=True):
@@ -453,20 +434,19 @@ def dot(us, vs) -> HomogPoly:
     D, *other = {u.degree + v.degree for u, v in pairs}
     if other:
         raise HomogeneityError(D, other[0])
-    if F.int64:
+    if F.char:
         return _dot_int64(F, D, pairs)
-    mul = _mul_rational if F.char == 0 else _mul_terms
-    return sum((mul(u, v) for u, v in pairs), HomogPoly.zero(F))
+    return sum((_mul_rational(u, v) for u, v in pairs), HomogPoly.zero(F))
 
 
 def _dot_int64(F: Field, D: int, pairs) -> HomogPoly:
-    """``dot`` over GF(p), p < 2^31, on the (j, k) exponent grid of degree
-    D: y^j z^k sits in cell j(D+1) + k, so the cell of a product of terms
-    is the sum of their cells.  The term pairs of all factor pairs are
-    formed at once as outer products, each product reduced below p, and
-    added into their cells by one ``np.add.at``, in blocks of at most
-    ``_PAIR_CHUNK`` pairs (or one row of a factor pair, if that is more);
-    one ``% p`` at the end."""
+    """``dot`` over GF(p) on the (j, k) exponent grid of degree D: y^j z^k
+    sits in cell j(D+1) + k, so the cell of a product of terms is the sum
+    of their cells.  The term pairs of all factor pairs are formed at once
+    as outer products, each product reduced below p, and added into their
+    cells by one ``np.add.at``, in blocks of at most ``_PAIR_CHUNK`` pairs
+    (or one row of a factor pair, if that is more); one ``% p`` at the
+    end."""
     p, n = F.p, D + 1
     grid = np.zeros(n * n, dtype=np.int64)
     cells, values, held = [], [], 0
@@ -535,9 +515,9 @@ class _Parser:
     def expression(self):
         sign = 1
         ch = self.peek()
-        if ch in "+-":
+        if ch in ("+", "-", "−"):
             self.pos += 1
-            sign = -1 if ch in ("-", "−") else 1
+            sign = -1 if ch != "+" else 1
         acc = self._scaled(self.term(), sign)
         while True:
             ch = self.peek()

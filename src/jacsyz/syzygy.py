@@ -7,10 +7,10 @@ S_r^3 -> S_{r+d-1} realized as an exact matrix.
 
 ``graded_multiplication_matrix`` fills that matrix with one numpy scatter
 per polynomial: the graded-lex index of (i, j, k) in ``poly.monomials``
-order is s(s+1)/2 + k with s = j + k, in every degree.  Over GF(p) with
-p < 2^31 the matrix is int64 for ``linalg``'s int64 arithmetic; over Q and
-GF(p) with p >= 2^31 the same scatter fills an object array of exact
-scalars, which ``ExactMatrix`` eliminates with the same kernel.
+order is s(s+1)/2 + k with s = j + k, in every degree.  Over GF(p) the
+matrix is int64, for ``rank_mod_np`` and ``nullspace_mod_np``; over Q the
+same scatter fills an object array of Fractions, which ``ExactMatrix``
+eliminates with the same kernel.
 
 ``_mdr_scan`` is the one mdr scan: given an explicit syzygy of degree u (the
 Koszul syzygy for ``mdr``, a paper's syzygy for the trichotomies) it ranks
@@ -134,14 +134,13 @@ def graded_multiplication_matrix(polys, r: int, target: int):
 
     Columns are grouped by polynomial, graded-lex within each group; rows are
     the graded-lex monomials of S_target.  Every nonzero p_i has degree
-    target - r.  Returns a numpy int64 array over a prime field with
-    p < 2^31 (the int64 kernel's range), otherwise a list-of-lists over the
-    exact field.
+    target - r.  Returns a numpy array: int64 residues over GF(p), and
+    Fractions in an object array over Q.
     """
     field = polys[0].field
     m = monomial_count(r)
     A = np.full((monomial_count(target), len(polys) * m), field.zero(),
-                dtype=np.int64 if field.int64 else object)
+                dtype=np.int64 if field.char else object)
     mj, mk = _monomial_jk(r)
     for b, p in enumerate(polys):
         if p.is_zero():
@@ -154,16 +153,13 @@ def graded_multiplication_matrix(polys, r: int, target: int):
         s = exps[:, 1:2] + mj + k
         values = np.array(list(p.coeffs.values()), dtype=A.dtype)
         A[s * (s + 1) // 2 + k, b * m + np.arange(m)] = values[:, None]
-    return A if field.int64 else A.tolist()
+    return A
 
 
 def _slice_nullspace(f: HomogPoly, r: int):
     field = f.field
-    d = f.degree
-    grads = list(f.gradient())
-    target = r + d - 1
-    A = graded_multiplication_matrix(grads, r, target)
-    if isinstance(A, np.ndarray):
+    A = graded_multiplication_matrix(list(f.gradient()), r, r + f.degree - 1)
+    if field.char:
         return [v.tolist() for v in nullspace_mod_np(A, field.p)]
     return ExactMatrix(field, A).nullspace()
 
@@ -213,7 +209,7 @@ def ar_dimension(f: HomogPoly, r: int) -> int:
     field = f.field
     A = graded_multiplication_matrix(list(f.gradient()), r, r + f.degree - 1)
     ncols = 3 * monomial_count(r)
-    if isinstance(A, np.ndarray):
+    if field.char:
         return ncols - rank_mod_np(A, field.p)
     return ncols - ExactMatrix(field, A).rank()
 

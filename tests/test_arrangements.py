@@ -265,7 +265,7 @@ def test_cone_construction():
 
 @settings(max_examples=60)
 @given(st.tuples(*[st.fractions(-5, 5, max_denominator=3)] * 6),
-       st.sampled_from([QQ, PrimeField(1000003), PrimeField(2**31 + 11)]))
+       st.sampled_from([QQ, PrimeField(1000003), PrimeField(2**31 - 1)]))
 def test_plain_cross_normalizes_like_the_field_cross(entries, F):
     a = tuple(F.coerce(v) for v in entries[:3])
     b = tuple(F.coerce(v) for v in entries[3:])

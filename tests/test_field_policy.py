@@ -2,6 +2,7 @@
 voting primes (rational f under the modular backend) or in f's own field,
 and never in GF(p) with p <= deg f."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from jacsyz.arrangements import (LineArrangement, multiplicity_bound_check,
                                  trichotomy)
 from jacsyz.backend import compute, describe, fields_for, make_backend
 from jacsyz.cli import main
-from jacsyz.fields import PrimeField, QQ
+from jacsyz.fields import FieldError, PrimeField, QQ
 from jacsyz.fixtures import get_fixture
 from jacsyz.pencils import (PencilProductSpec, PencilSpec, thm11_trichotomy,
                             thm13_trichotomy)
@@ -148,3 +149,37 @@ def test_a_checked_vote_computes_once_and_checks_the_other_fields():
 def test_a_modular_backend_needs_a_prime(primes):
     with pytest.raises(ValueError, match="at least one voting prime"):
         make_backend(primes=primes)
+
+
+# a prime of 2^31 or more, beyond the int64 arithmetic, is refused wherever a
+# prime is named; the largest prime below 2^31 still classifies
+
+TOO_BIG = 2**31 + 11
+LARGEST = 2**31 - 1
+
+
+def test_backend_refuses_a_prime_beyond_the_int64_range():
+    with pytest.raises(FieldError, match=r"p < 2\^31"):
+        make_backend(primes=[1000003, TOO_BIG])
+    rep = classify(CURVE, make_backend(primes=[LARGEST]))
+    assert rep.classification == classify(CURVE).classification
+
+
+def test_cli_field_refuses_a_prime_beyond_the_int64_range(capsys):
+    code = main(["analyze", "x*y*z", "--field", f"Fp:{TOO_BIG}"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "p < 2^31" in err
+    assert main(["analyze", "x*y*z", "--field", f"Fp:{LARGEST}"]) == 0
+
+
+def test_pencil_spec_refuses_a_prime_beyond_the_int64_range(capsys, tmp_path):
+    spec = get_fixture("ex12ii").spec.to_json()
+    for p, code in [(TOO_BIG, 1), (LARGEST, 0)]:
+        path = tmp_path / f"{p}.json"
+        path.write_text(json.dumps(dict(spec, field=f"Fp:{p}")))
+        assert main(["pencil", "syzygy", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert ("p < 2^31" in err) == (code == 1)
+    with pytest.raises(FieldError, match=r"p < 2\^31"):
+        PencilProductSpec.from_json(dict(spec, field=f"Fp:{TOO_BIG}"))

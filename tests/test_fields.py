@@ -51,6 +51,15 @@ def test_prime_field_rejects_composite_and_small():
         PrimeField(15)
 
 
+@pytest.mark.parametrize("p", [2**31 + 11, 2**61 - 1, 2**31])
+def test_prime_field_refuses_primes_beyond_the_int64_range(p):
+    with pytest.raises(FieldError, match=r"p < 2\^31"):
+        PrimeField(p)
+    with pytest.raises(FieldError, match=r"p < 2\^31"):
+        parse_field_tag(f"Fp:{p}")
+    assert PrimeField(P).p == P == 2**31 - 1  # the largest prime kept
+
+
 def test_prime_field_coerces_fractions_exactly():
     F = PrimeField(P)
     half = F.coerce(Fraction(1, 2))
@@ -58,7 +67,7 @@ def test_prime_field_coerces_fractions_exactly():
 
 
 def test_prime_field_inverse_and_its_refusals():
-    F = PrimeField(2**61 - 1)
+    F = PrimeField(P)
     for a in (1, 2, F.p - 1, -3, 5 * F.p + 7):
         assert F.mul(F.inv(a), F.coerce(a)) == 1
         assert F.mul(F.coerce(Fraction(1, a)), F.coerce(a)) == 1

@@ -19,7 +19,7 @@ from jacsyz.linalg import ExactMatrix, _echelon, nullspace_mod_np, rank_mod_np
 from jacsyz.syzygy import graded_multiplication_matrix
 
 P = random_primes(1, seed=11)[0]
-BIG = PrimeField(2**31 + 11)  # above the int64 kernel's range
+BIG = PrimeField(2**31 - 1)  # the largest prime of the int64 kernel
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
@@ -245,6 +245,17 @@ def test_det_matches_cofactor_oracle(field):
         assert ExactMatrix(field, rows).det() == _det_oracle(field, rows)
 
 
+def test_integer_entries_over_q_stay_exact():
+    # entries are taken as they are: ints over Q eliminate as Fractions
+    rows = [[0, 2, 1], [1, 1, 1], [1, 3, 2], [2, 0, 1]]
+    M, ref = ExactMatrix(QQ, rows), _qmat(rows)
+    assert M.rank() == ref.rank() == 2
+    assert M.nullspace() == ref.nullspace()
+    assert all(type(v) is Fraction for v in M.nullspace()[0])
+    square = [[1, 2], [3, 4]]
+    assert repr(ExactMatrix(QQ, square).det()) == repr(_qmat(square).det())
+
+
 def test_det():
     assert _qmat([[1, 0], [0, 1]]).det() == 1
     assert _qmat([[1, 2], [2, 4]]).det() == 0
@@ -300,8 +311,9 @@ def _reference_rref(F, rows):
 
 
 def _assert_matches_reference_rref(F, rows):
+    rows = [list(row) for row in rows]
     M = ExactMatrix(F, rows)
-    R0, piv0, det0 = _reference_rref(F, M.rows)
+    R0, piv0, det0 = _reference_rref(F, rows)
     R, piv, det = M._rref()
     # repr tells Fraction(1, 1) from 1: the same scalars, not only equal ones
     assert repr(R.tolist()) == repr(R0)
@@ -312,7 +324,7 @@ def _assert_matches_reference_rref(F, rows):
     assert M.rank() == len(piv0)
     if M.nrows == M.ncols:
         assert repr(M.det()) == repr(det0)
-    assert repr(M._array.tolist()) == repr(M.rows)  # input unchanged
+    assert repr(M._array.tolist()) == repr(rows)  # input unchanged
 
 
 entries = st.one_of(st.just(0), st.integers(-3, 3),
@@ -368,7 +380,7 @@ def _deck_matrices():
 
     def spy(self, field, rows):
         init(self, field, rows)
-        captured.append((field, self.rows))
+        captured.append((field, self._array.tolist()))
 
     ctx = workloads.Context(make_backend(seed=1), make_backend("rational"))
     deck = workloads.generate(workloads.WORKLOADS["generic_arrangements"], 1)

@@ -31,6 +31,14 @@ def test_parse_errors():
         poly_parse("w^2")
 
 
+def test_parse_unicode_minus_anywhere():
+    # U+2212 negates as "-" does: between terms, leading, in parentheses
+    for text in ["x^2 \u2212 y^2", "\u2212x^2 + y^2", "(\u2212x)*y",
+                 "x*(\u2212y \u2212 z)", "\u2212(x + y)*z"]:
+        assert poly_parse(text) == poly_parse(text.replace("\u2212", "-"))
+    assert poly_parse("\u2212x^2 + y^2") == poly_parse("y^2 - x^2")
+
+
 def test_add_degree_mismatch():
     with pytest.raises(HomogeneityError):
         poly_parse("x^2") + poly_parse("x")

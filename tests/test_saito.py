@@ -7,6 +7,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
@@ -124,12 +125,12 @@ def test_rational_backend_matches_hilbert_oracle():
     assert (rep.exponents, rep.tau) == ((2, 3), 19)
 
 
-def test_large_prime_generic_path_matches_hilbert_oracle():
-    F = PrimeField(2**31 + 11)
+def test_largest_prime_matches_hilbert_oracle():
+    F = PrimeField(2**31 - 1)
     f = poly_parse("x*y*z*(x+y)*(x-y)", F)
-    # p >= 2^31 leaves the int64 kernel for the generic ExactMatrix path
-    assert isinstance(graded_multiplication_matrix(list(f.gradient()), 1, 5),
-                      list)
+    # the largest prime below 2^31 still runs in the int64 kernels
+    assert graded_multiplication_matrix(list(f.gradient()), 1,
+                                        5).dtype == np.int64
     rep = assert_matches_hilbert_oracle(f)
     assert (rep.exponents, rep.tau) == ((1, 3), 13)
 
