@@ -57,7 +57,6 @@ def test_prime_field_refuses_primes_beyond_the_int64_range(p):
         PrimeField(p)
     with pytest.raises(FieldError, match=r"p < 2\^31"):
         parse_field_tag(f"Fp:{p}")
-    assert PrimeField(P).p == P == 2**31 - 1  # the largest prime kept
 
 
 def test_prime_field_coerces_fractions_exactly():
