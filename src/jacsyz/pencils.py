@@ -95,8 +95,11 @@ class PencilProductSpec:
             if g.degree < 2 or not g.field == F:
                 raise ValueError("groups must be monic of degree >= 2 over "
                                  "the pencil field")
-        if self.h is not None and self.h.degree < 1:
-            self.h = None
+        if self.h is not None:
+            if self.h.is_zero():
+                raise ValueError("the residual factor h is zero")
+            if self.h.degree < 1:  # a nonzero constant changes no curve
+                self.h = None
 
     @property
     def m(self) -> int:

@@ -546,8 +546,6 @@ class _Parser:
         while self.peek() == "^":
             self.pos += 1
             e = self.integer()
-            if e < 0:
-                self.error("negative exponent")
             out = {(0, 0, 0): self.field.one()}
             b = base
             n = e
@@ -573,7 +571,7 @@ class _Parser:
             exp = [0, 0, 0]
             exp[VARS.index(ch)] = 1
             return {tuple(exp): self.field.one()}
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.integer()
             if self.peek() == "/":
                 self.pos += 1
@@ -591,7 +589,7 @@ class _Parser:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")

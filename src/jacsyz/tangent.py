@@ -131,9 +131,10 @@ def _restriction_profile(h: HomogPoly, cov, apex):
 
 
 def _rational_roots(g: UniPoly):
-    """Roots of a squarefree rational polynomial found by linear-factor
-    peeling over small candidates is not general; rational tangency data is
-    only accepted when every factor is linear."""
+    """The root of a squarefree factor g over Q, which must be linear:
+    rational tangency data is accepted only when every squarefree factor of
+    a restriction is linear, and TangentValidationError is raised
+    otherwise."""
     F = g.field
     if g.degree != 1:
         raise TangentValidationError(

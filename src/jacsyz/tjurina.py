@@ -18,14 +18,31 @@ one of three routes:
   singularity, whose Tjurina number equals its Milnor number (m - 1)^2
   (Euler's relation puts the local equation in its Jacobian ideal, since
   the characteristic is 0 or p > d >= m).  No Milnor-algebra rank is taken.
-- Saito.  Every other curve gets mdr from the scan seeded by the Koszul
+- Rank.  Every other curve gets mdr from the scan seeded by the Koszul
   syzygy at d-1 (``mdr``, the checked vote: only the first voting prime
-  scans), and the Saito / Hilbert verdict at that mdr is voted in every
-  field.  A free curve is proved by Saito's criterion, in the
-  plane-curve form of Dimca-Sticlaru: with 2r <= d-1, f is free with
-  exponents (r, d-1-r) iff syzygies rho1, rho2 of degrees r and d-1-r have
-  rho1 x rho2 = c * grad f with c != 0, and then tau = (d-1)^2 - r(d-1-r).
-  The criterion needs f reduced.  Both syzygies are re-verified exactly.
+  scans), and its verdict at that mdr is voted in every field.  For
+  r >= 1 and 2r <= d-1 one rank decides freeness (``_free_by_rank``):
+  f is free with exponents (r, d-1-r) iff dim AR_{d-1-r} > dim S_{d-1-2r},
+  and then tau = (d-1)^2 - r(d-1-r).  Proof, for f reduced (which
+  ``_admit`` proves in the first field; the other voting fields are
+  cross-checks) and r = mdr(f):
+
+  (<=) A nonzero rho1 in AR_r is primitive: a common factor g of its
+  components would leave rho1/g in AR_{r - deg g}, below the mdr.  So its
+  multiples in degree d-1-r form a space of dimension dim S_{d-1-2r}, and a
+  rho2 in AR_{d-1-r} outside them is no rational multiple of rho1 either
+  (b*rho2 = a*rho1 with coprime a, b makes b divide the primitive rho1).
+  Hence rho1 x rho2 != 0.  Both are orthogonal to grad f, so
+  rho1 x rho2 = h * grad f, and h is a polynomial because the partials of a
+  reduced curve share no factor (characteristic 0 or p > d).  Its degree is
+  r + (d-1-r) - (d-1) = 0, so h is a nonzero constant, and Saito's
+  criterion (Saito 1980, in the plane-curve form of Dimca-Sticlaru) makes f
+  free with exponents (r, d-1-r).
+  (=>) A free curve has AR = S rho1 (+) S rho2 with degrees r and d-1-r, so
+  dim AR_{d-1-r} = dim S_{d-1-2r} + 1.
+
+  No syzygy of degree d-1-r is built.  Every other curve of this route
+  takes the Hilbert tau below.
 - Hilbert.  The remaining curves (cones, nearly free and neither curves)
   get tau from the Hilbert function of the Milnor algebra
   M(f) = S / (f_x, f_y, f_z): for a reduced curve dim M(f)_k = tau for every
@@ -34,10 +51,11 @@ one of three routes:
   curve still has its socle.  ``global_tjurina`` always takes this route.
 
 The certificate is the first basis vector of AR(f)_r in the first computing
-field on every route (the Saito route's rho1 is that vector), so a curve
-gets the same report whichever route decides it.  It is one verified
-vector: of that nullspace only basis vector 0 is converted to a triple and
-re-verified (``ar_slice`` still returns the whole verified basis).
+field on every route, computed once outside the vote, so a curve gets the
+same report whichever route decides it.  It is the one verified vector of a
+classification: of that nullspace only basis vector 0 is converted to a
+triple and re-verified (``ar_slice`` still returns the whole verified
+basis).
 
 ``_seeded_mdr`` is the one place that picks a curve's seed, for ``classify``
 and ``multiplicity_bound_check``; the rest of ``classify`` (``_report``)
@@ -59,14 +77,13 @@ bad for it: the vote would compute in that image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 from .backend import Backend, compute, describe, fields_for
 from .linalg import rank_mod_np
-from .poly import HomogPoly, dot, is_reduced, monomial_count
-from .syzygy import (SyzygyTriple, _first_syzygy, _mdr_scan, _reverified,
-                     _slice_nullspace, _vector_to_triple, ar_dimension,
+from .poly import HomogPoly, is_reduced, monomial_count
+from .syzygy import (SyzygyTriple, _first_syzygy, _mdr_scan, ar_dimension,
                      ar_slice, graded_multiplication_matrix, mdr)
 
 __all__ = [
@@ -206,71 +223,19 @@ def thmF_gate(d: int, r0: int, tau: int) -> str:
     return "attained" if tau == bound else "undershoot"
 
 
-def _product_coeff(p: HomogPoly, q: HomogPoly, exp) -> object:
-    """Coefficient of the monomial ``exp`` in p*q."""
-    F = p.field
-    acc = F.zero()
-    for e, c in p.coeffs.items():
-        v = q.coeffs.get((exp[0] - e[0], exp[1] - e[1], exp[2] - e[2]))
-        if v is not None:
-            acc = F.add(acc, F.mul(c, v))
-    return acc
-
-
-def _cross_multiple(s1: SyzygyTriple, s2: SyzygyTriple, grad) -> bool:
-    """True iff s1 x s2 = c * grad exactly, with a scalar c != 0."""
-    u, v = s1.components(), s2.components()
-    i = next(i for i, g in enumerate(grad) if not g.is_zero())
-    j, k = (i + 1) % 3, (i + 2) % 3
-    exp, lead = grad[i].leading_term()
-    F = grad[i].field
-    # component i of s1 x s2 is u_j v_k - u_k v_j; its coefficient at the
-    # leading monomial of grad_i fixes c, so most misses cost no product
-    c = F.div(F.sub(_product_coeff(u[j], v[k], exp),
-                    _product_coeff(u[k], v[j], exp)), lead)
-    if F.is_zero(c):
-        return False
-    cross = (dot((u[1], -u[2]), (v[2], v[1])),
-             dot((u[2], -u[0]), (v[0], v[2])),
-             dot((u[0], -u[1]), (v[1], v[0])))
-    return all(w == g.scale(c) for w, g in zip(cross, grad))
-
-
 @dataclass(frozen=True)
 class _Verdict:
-    """What every backend field must agree on; the certificate (a degree-mdr
-    syzygy) differs between fields and takes no part in the vote."""
+    """What every backend field must agree on."""
 
     mdr: int
     tau: int
     classification: str
     exponents: tuple | None
-    certificate: SyzygyTriple | None = dc_field(
-        default=None, compare=False, repr=False)
-
-
-def _saito_verdict(f: HomogPoly, r: int) -> _Verdict | None:
-    """Free verdict proved by a verified Saito pair, or None when the
-    criterion does not apply or finds no pair.  The criterion needs f
-    reduced, which ``_admit`` has proved."""
-    d = f.degree
-    F = f.field
-    if not (r >= 1 and 2 * r <= d - 1):
-        return None
-    rho1 = _first_syzygy(f, r)
-    d2 = d - 1 - r
-    grad = f.gradient()
-    for vec in _slice_nullspace(f, d2):
-        rho2 = _vector_to_triple(F, vec, d2, d)
-        if _cross_multiple(rho1, rho2, grad):
-            _reverified(f, rho2)
-            return _Verdict(r, _phi1(d, r), "free", (r, d2), rho1)
-    return None
 
 
 def _dpw_verdict(d: int, r: int, tau: int) -> _Verdict:
     """Class and exponents from (mdr, tau) by the du Plessis-Wall
-    equalities; no certificate."""
+    equalities."""
     if r == 0:
         return _Verdict(r, tau, "cone", None)
     if 2 * r <= d - 1 and tau == _phi1(d, r):
@@ -280,9 +245,21 @@ def _dpw_verdict(d: int, r: int, tau: int) -> _Verdict:
     return _Verdict(r, tau, "neither", None)
 
 
-def _hilbert_verdict(f: HomogPoly, r: int) -> _Verdict:
-    """Class from the Hilbert-function tau; no certificate."""
-    return _dpw_verdict(f.degree, r, _profile(f).tau)
+def _free_by_rank(f: HomogPoly, r: int) -> bool:
+    """For reduced f with r = mdr(f): free with exponents (r, d-1-r) iff
+    1 <= r, 2r <= d-1 and dim AR_{d-1-r} > dim S_{d-1-2r}, one rank (see
+    the module docstring).  ``_admit`` has proved f reduced."""
+    d = f.degree
+    return (r >= 1 and 2 * r <= d - 1
+            and ar_dimension(f, d - 1 - r) > monomial_count(d - 1 - 2 * r))
+
+
+def _bare_verdict(f: HomogPoly, r: int) -> _Verdict:
+    """The verdict of a curve off the arrangement route at its mdr r: free
+    by one rank, else from the Hilbert-function tau."""
+    d = f.degree
+    return _dpw_verdict(
+        d, r, _phi1(d, r) if _free_by_rank(f, r) else _profile(f).tau)
 
 
 def _route(f: HomogPoly):
@@ -302,14 +279,13 @@ def _seeded_mdr(f: HomogPoly, backend: Backend | None) -> int:
 def _report(f: HomogPoly, image: HomogPoly, r: int,
             backend: Backend | None) -> FreenessReport:
     """``classify``'s report of f at its voted mdr r (``image`` from
-    ``_admit``); only the Saito / Hilbert verdict is voted here."""
+    ``_admit``).  Off the arrangement route only the rank / Hilbert verdict
+    is voted here; the certificate is basis vector 0 of AR(image)_r."""
     d = f.degree
     route = _route(f)
     verdict = _dpw_verdict(d, r, route[2]) if route is not None else compute(
-        lambda g: _saito_verdict(g, r) or _hilbert_verdict(g, r), f, backend,
-        what="classification")
+        lambda g: _bare_verdict(g, r), f, backend, what="classification")
     tau = verdict.tau
-    certificate = verdict.certificate or _first_syzygy(image, r)
 
     bound, branch = dpw_bounds(d, r)
     if tau > bound:
@@ -328,7 +304,7 @@ def _report(f: HomogPoly, image: HomogPoly, r: int,
         tau=tau,
         classification=verdict.classification,
         exponents=verdict.exponents,
-        certificate=certificate,
+        certificate=_first_syzygy(image, r),
         bounds=bounds,
         **describe(f, backend),
     )
@@ -342,9 +318,9 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     product of a ``LineArrangement``'s lines takes the arrangement route:
     mdr scanned below the degree d - m_max of a point syzygy, and the
     combinatorial tau = sum (m_p - 1)^2, with no Milnor-algebra rank.  Any
-    other polynomial, including the same coefficients given as text, takes
-    the Saito route where it proves a free curve and the Hilbert route
-    otherwise.  All routes give the same report; see the module docstring."""
+    other polynomial, including the same coefficients given as text, is
+    decided free by one rank at d-1-mdr, and otherwise by the Hilbert tau.
+    All routes give the same report; see the module docstring."""
     image = _admit(f, backend)
     return _report(f, image, _seeded_mdr(f, backend), backend)
 

@@ -294,6 +294,12 @@ def test_exit_1_on_unparsable_text(covs, junk, data):
     assert code == 1 and out == "" and "cannot parse input" in err
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2*y", "\u00b2*x*y", "x*y^\u00b9"])
+def test_exit_1_on_superscript_digit(text):
+    code, out, err = analyze(text)
+    assert code == 1 and out == "" and "cannot parse input" in err
+
+
 zero_point = st.builds(
     lambda fmt, a, b, c: fmt.format(a, b, c),
     st.sampled_from(["{},{},{}", "({}:{}:{})", "{}, {}, {}"]),

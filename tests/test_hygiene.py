@@ -123,3 +123,12 @@ def test_only_syzygy_and_tjurina_read_the_mdr_scan():
     readers = {path.stem for path in PACKAGE.glob("*.py")
                if "_mdr_scan" in names_read(ast.parse(path.read_text()))}
     assert readers == {"syzygy", "tjurina"}
+
+
+def test_only_syzygy_reads_the_nullspace_helpers():
+    # outside syzygy a classification takes ranks plus the one certificate
+    # (``_first_syzygy`` or ``ar_slice``), never a nullspace of its own
+    helpers = {"_slice_nullspace", "_vector_to_triple", "_reverified"}
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               if helpers & names_read(ast.parse(path.read_text()))}
+    assert readers == {"syzygy"}

@@ -67,6 +67,25 @@ def test_spec_json_round_trip():
         assert build_product(again) == build_product(spec)
 
 
+def test_zero_residual_factor_is_refused(tmp_path, capsys):
+    data = get_fixture("ex12ii").spec.to_json()
+    for h in ("0", "x - x"):
+        with pytest.raises(ValueError, match="h is zero"):
+            PencilProductSpec.from_json({**data, "h": h})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**data, "h": h}))
+        for command in ("classify", "syzygy"):
+            assert main(["pencil", command, str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "h is zero" in err
+    # a nonzero constant is still dropped: it changes no curve
+    spec = PencilProductSpec.from_json({**data, "h": "3"})
+    assert spec.h is None
+    assert build_product(spec) == build_product(
+        PencilProductSpec.from_json({k: v for k, v in data.items()
+                                     if k != "h"}))
+
+
 def test_wedge_syzygy_degree_and_verification():
     for k, m in [(2, 3), (3, 3), (3, 4)]:
         P = _fermat(k)

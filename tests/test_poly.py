@@ -31,6 +31,16 @@ def test_parse_errors():
         poly_parse("w^2")
 
 
+@pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("\u00b2*x", 0),
+                                            ("x^2*y^\u00b3", 6)])
+def test_superscript_digit_is_a_parse_error(text, position):
+    # '\u00b2'.isdigit() is true, but int() refuses it: only decimal digits
+    # are read as numbers, so a superscript fails at its own position
+    with pytest.raises(ParseError) as err:
+        poly_parse(text)
+    assert err.value.position == position
+
+
 def test_parse_unicode_minus_anywhere():
     # U+2212 negates as "-" does: between terms, leading, in parentheses
     for text in ["x^2 \u2212 y^2", "\u2212x^2 + y^2", "(\u2212x)*y",

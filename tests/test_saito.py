@@ -1,5 +1,5 @@
 """The fast routes of ``classify``, tested against the paths they replace:
-the Saito criterion against the Hilbert oracle for free curves, and the
+the one-rank free test against the Hilbert oracle for free curves, and the
 arrangement route against the bare polynomial with the same coefficients;
 and the reducedness gate in front of all of them."""
 
@@ -27,6 +27,8 @@ from jacsyz.tjurina import NotReducedError, classify, global_tjurina
 _hilbert_profile = tjurina._profile
 
 A3 = "(x^2-y^2)*(y^2-z^2)*(x^2-z^2)"  # free, exponents (2, 3)
+F_LARGE = PrimeField(1000003)
+MODULAR = make_backend(seed=0)
 
 
 def bare(f):
@@ -35,9 +37,9 @@ def bare(f):
     return HomogPoly(f.field, f.degree, dict(f.coeffs))
 
 
-def run_classify(f, backend=None, saito=True):
-    """classify(f), with the Saito path switched off if ``saito`` is false;
-    also returns the tau of every Hilbert profile it computed."""
+def run_classify(f, backend=None, rank=True):
+    """classify(f), with the one-rank free test switched off if ``rank`` is
+    false; also returns the tau of every Hilbert profile it computed."""
     taus = []
 
     def profile(g):
@@ -47,8 +49,8 @@ def run_classify(f, backend=None, saito=True):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tjurina, "_profile", profile)
-        if not saito:
-            mp.setattr(tjurina, "_saito_verdict", lambda g, r: None)
+        if not rank:
+            mp.setattr(tjurina, "_free_by_rank", lambda g, r: False)
         rep = classify(f, backend)
     return rep, taus
 
@@ -58,8 +60,8 @@ def assert_matches_hilbert_oracle(f, backend=None, fast=None):
     every Hilbert profile of the oracle has the fast tau."""
     if fast is None:
         fast, fast_taus = run_classify(f, backend)
-        assert fast_taus == []  # decided by the Saito pair alone
-    slow, slow_taus = run_classify(f, backend, saito=False)
+        assert fast_taus == []  # decided by the rank alone
+    slow, slow_taus = run_classify(f, backend, rank=False)
     assert fast.classification == "free"
     assert (json.dumps(fast.to_json(), sort_keys=True)
             == json.dumps(slow.to_json(), sort_keys=True))
@@ -135,6 +137,78 @@ def test_largest_prime_matches_hilbert_oracle():
     assert (rep.exponents, rep.tau) == ((1, 3), 13)
 
 
+def _form(field, degree, coeffs):
+    """The degree-``degree`` form with the first coefficients of ``coeffs``
+    on the graded-lex monomials."""
+    return HomogPoly(field, degree, {
+        m: field.coerce(c) for m, c in zip(poly.monomials(degree), coeffs)
+        if c})
+
+
+def spied_classify(f, backend):
+    """classify(f), recording the field and degree of every rank that
+    ``tjurina`` takes and the degree of every nullspace."""
+    ranks, nullspaces = [], []
+    real_rank, real_nullspace = tjurina.ar_dimension, syzygy._slice_nullspace
+
+    def rank(g, k):
+        ranks.append((g.field, k))
+        return real_rank(g, k)
+
+    def nullspace(g, k):
+        nullspaces.append(k)
+        return real_nullspace(g, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tjurina, "ar_dimension", rank)
+        mp.setattr(syzygy, "_slice_nullspace", nullspace)
+        rep = classify(f, backend)
+    return rep, ranks, nullspaces
+
+
+FACTORS = st.lists(
+    st.tuples(st.sampled_from([1, 1, 2, 3]),
+              st.lists(st.sampled_from([0, 0, 1, -1]), min_size=10,
+                       max_size=10)),
+    min_size=2, max_size=5)
+RANK_SETTINGS = [(F_LARGE, None, 7), (QQ, make_backend("rational"), 6),
+                 (QQ, MODULAR, 7)]  # (field, backend, degree cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FACTORS, st.sampled_from(RANK_SETTINGS))
+@example([(2, [1, 0, 0, 1, 0, -1]), (2, [0, 0, 0, -1, 1, -1]),
+          (3, [0, 0, 0, 0, 0, 0, 0, 1, 0, -1])],
+         RANK_SETTINGS[0])  # free (2, 4)
+@example([(1, [0, 1, 0]), (1, [-1, 0, 0]), (3, [0, 0, 0, 0, 0, 1, 0, -1, 1])],
+         RANK_SETTINGS[1])  # free (2, 2)
+@example([(2, [1, 0, 0, 0, 0, -1]), (1, [0, 1, 1]), (1, [1, 0, 0]),
+          (2, [1, 0, -1, 0, 0, -1])], RANK_SETTINGS[2])  # free (1, 4)
+@example([(1, [1, 0, 1]), (2, [-1, 0, 0, 0, 0, -1]), (1, [1, 1, 0]),
+          (2, [0, 1, 1, 0, 0, 0])], RANK_SETTINGS[2])  # nearly free (2, 4)
+def test_rank_test_matches_hilbert_oracle(factors, setting):
+    field, backend, cap = setting
+    f = None
+    for degree, coeffs in factors:
+        if f is not None and f.degree + degree > cap:
+            break
+        g = _form(field, degree, coeffs)
+        f = g if f is None else f * g
+    if not is_reduced(f):
+        return
+    fast, ranks, nullspaces = spied_classify(f, backend)
+    d, r = fast.d, fast.mdr
+    if not (r >= 1 and 2 * r <= d - 1):
+        return
+    slow, slow_taus = run_classify(f, backend, rank=False)
+    assert _json(fast) == _json(slow)
+    assert set(slow_taus) == {fast.tau}
+    # one rank at d-1-r in each voting field; the only nullspace taken is
+    # the certificate's, at r
+    assert [F for F, k in ranks if k == d - 1 - r] == fields_for(f, backend)
+    assert nullspaces == [r]
+
+
 NEARLY_FREE = "y^6 + x^5*z"  # over Q: nearly free, exponents (1, 5), tau 20
 
 
@@ -201,7 +275,8 @@ def test_bad_first_prime_is_refused_not_voted():
     f = poly_parse(f"x^2*y*z + {p}*(x^4 + y^4 + z^4)")
     image = f.map_field(PrimeField(p))
     assert is_reduced(f) and not is_reduced(image)
-    assert tjurina._saito_verdict(image, mdr(image)) == tjurina._Verdict(
+    assert tjurina._free_by_rank(image, 1)
+    assert tjurina._bare_verdict(image, mdr(image)) == tjurina._Verdict(
         1, 7, "free", (1, 2))
     for primes in ([p], [p, q]):
         with pytest.raises(NotReducedError, match=f"or {p} is a bad prime"):
@@ -252,20 +327,19 @@ def test_reducedness_witness():
         assert not is_reduced(poly_parse(text))
 
 
-def test_no_saito_pair_for_non_free_curves():
-    # nearly free with 2*mdr <= d-1: the criterion applies and finds no pair
+def test_rank_test_rejects_non_free_curves():
+    # nearly free with 2*mdr <= d-1: the rank test applies and says no
     for f in [poly_parse("y^2*z - x^3"), get_fixture("ex14ii:4").f]:
         rep = classify(f)
         assert rep.classification != "free"
-        assert tjurina._saito_verdict(f, rep.mdr) is None
+        assert 2 * rep.mdr <= rep.d - 1
+        assert not tjurina._free_by_rank(f, rep.mdr)
 
 
 # -- the arrangement route, against the bare polynomial ----------------------
 
 ARRANGEMENT_FIXTURES = [name for name in fixture_names()
                         if get_fixture(name).arrangement is not None]
-F_LARGE = PrimeField(1000003)
-MODULAR = make_backend(seed=0)
 
 # mdr < d - m_max: the scan below the point syzygy finds the answer
 FREE_BELOW_SEED = [(1, 0, 1), (1, -1, -1), (1, 1, 1), (1, -1, 0),
@@ -282,7 +356,7 @@ def _json(rep):
 
 def route_report(A, backend=None):
     """classify(A.f), which must take the arrangement route: no Hilbert
-    profile, no Saito verdict and no rank at or above d - m_max."""
+    profile, no bare verdict and no rank at or above d - m_max."""
     ranked = []
     real_rank = syzygy.ar_dimension
 
@@ -295,7 +369,7 @@ def route_report(A, backend=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tjurina, "_profile", forbidden)
-        mp.setattr(tjurina, "_saito_verdict", forbidden)
+        mp.setattr(tjurina, "_bare_verdict", forbidden)
         mp.setattr(syzygy, "ar_dimension", rank)
         rep = classify(A.f, backend)
     assert all(r < A.d - A.lattice().m_max for r in ranked)
@@ -373,14 +447,14 @@ def test_route_with_a_voting_prime_in_the_seed():
 
 def _takes_the_bare_path(g, backend):
     calls = []
-    real = tjurina._saito_verdict
+    real = tjurina._bare_verdict
 
     def verdict(h, r):
         calls.append(h.degree)
         return real(h, r)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tjurina, "_saito_verdict", verdict)
+        mp.setattr(tjurina, "_bare_verdict", verdict)
         rep = classify(g, backend)
     assert calls
     return rep
@@ -494,6 +568,6 @@ def test_one_certificate_verification(monkeypatch):
     # the route verifies no seed below u: the certificate is the only one
     assert (rep.mdr, seen) == (9, [9])
     seen.clear()
-    # the Saito route verifies rho1 and rho2 once in each voting field
+    # bare, the free test is a rank: again only the certificate is verified
     assert classify(bare(A.f), MODULAR).certificate == rep.certificate
-    assert seen == [9, 9] * len(MODULAR.fields)
+    assert seen == [9]

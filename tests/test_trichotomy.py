@@ -440,7 +440,7 @@ BARE_CURVES = ([t for t in CURVES if is_reduced(poly_parse(t))]
 @pytest.mark.parametrize("text", BARE_CURVES)
 def test_classify_of_a_bare_curve_checks_the_mdr_in_later_fields(
         text, monkeypatch):
-    # the Saito / Hilbert verdict is voted at the mdr the first field found,
+    # the rank / Hilbert verdict is voted at the mdr the first field found,
     # so no field after the first scans
     f = poly_parse(text)
     r = _reference_mdr(f, BACKEND)
