@@ -296,7 +296,7 @@ def multiplicity_bound_check(A: LineArrangement,
     """m(A) >= 2d/(mdr+2), compared exactly over the rationals; mdr is
     scanned below the syzygy of a point of highest multiplicity."""
     m = A.lattice().top().multiplicity
-    rhs = Fraction(2 * A.d, _seeded_mdr(A.f, backend) + 2)
+    rhs = Fraction(2 * A.d, _seeded_mdr(A.f, backend)[0] + 2)
     return m, rhs, Fraction(m) >= rhs
 
 

@@ -15,7 +15,10 @@ field only checks that answer, which can cost far less than computing it
 is the same: if every check passes, every field would have answered the
 first field's answer; if one fails, ``fn`` runs in every other field too,
 in order, as without a check, so a disagreement or an error raised in a
-field is reported exactly as it would be without one.
+field is reported exactly as it would be without one.  The caller may also
+hand in the first field's answer, when it has proved that ``fn`` would
+return it there (``syzygy._proved_mdr``); the vote then goes on as if
+``fn`` had returned it.
 
 Pencil member invariants vote too, over two primes that split the
 discriminant roots (``pencils._split_members``), under the same rule: every
@@ -66,13 +69,15 @@ class Backend:
         else:
             raise ValueError(f"unknown backend mode {self.mode!r}")
 
-    def vote(self, fn, f, what="value", check=None):
+    def vote(self, fn, f, what="value", check=None, first=None):
         """Apply ``fn`` to f in every field ``fields_for`` picks under this
         backend; all answers must agree.  With ``check``, the fields after
         the first only check the first answer, and ``fn`` runs in them only
-        if a check fails (see the module docstring)."""
+        if a check fails (see the module docstring).  ``first``, when not
+        None, is the first field's answer, already proved by the caller, so
+        ``fn`` does not run there."""
         fields = fields_for(f, self)
-        answer = fn(f.map_field(fields[0]))
+        answer = fn(f.map_field(fields[0])) if first is None else first
         if check is not None and all(check(f.map_field(F), answer)
                                      for F in fields[1:]):
             return answer
@@ -105,13 +110,14 @@ def fields_for(f, backend: Backend | None = None) -> list:
 
 
 def compute(fn, f, backend: Backend | None = None, what="value",
-            check=None):
+            check=None, first=None):
     """``fn(f)`` in the fields of ``fields_for``: directly when that is f's
-    own field, else voted over the backend's primes (with ``check``, as
-    ``Backend.vote``)."""
+    own field, else voted over the backend's primes (with ``check`` and
+    ``first``, as ``Backend.vote``).  A proved ``first`` answer in f's own
+    field is the answer."""
     if fields_for(f, backend) == [f.field]:
-        return fn(f)
-    return backend.vote(fn, f, what, check)
+        return fn(f) if first is None else first
+    return backend.vote(fn, f, what, check, first)
 
 
 def describe(f, backend: Backend | None = None) -> dict:

@@ -213,17 +213,18 @@ class HomogPoly:
     def diff(self, var):
         """Partial derivative with respect to x, y or z."""
         i = VARS.index(var) if isinstance(var, str) else var
-        F = self.field
+        p = self.field.char
         out: dict = {}
         for e, c in self.coeffs.items():
-            if e[i] == 0:
+            k = e[i]
+            if k == 0:
                 continue
-            ne = list(e)
-            ne[i] -= 1
-            v = F.mul(F.coerce(e[i]), c)
-            if not F.is_zero(v):
+            v = k * c % p if p else k * c
+            if v:
+                ne = list(e)
+                ne[i] = k - 1
                 out[tuple(ne)] = v
-        return HomogPoly._trusted(F, self.degree - 1, out)
+        return HomogPoly._trusted(self.field, self.degree - 1, out)
 
     def gradient(self):
         """(p_x, p_y, p_z), computed on the first call and kept."""
@@ -314,7 +315,24 @@ class HomogPoly:
                    self.gradient())
 
     def map_field(self, new_field: Field):
-        """Reinterpret the coefficients in another exact backend."""
+        """Reinterpret the coefficients in another exact backend.  From Q to
+        GF(p) one inverse serves every coefficient: c = n / q maps to
+        n * ((L / q) / L mod p), one residue per distinct denominator q,
+        with L the lcm of the denominators; unless p | L, which the
+        coefficient-wise coercion refuses with FieldError."""
+        p = new_field.char
+        if self.field == QQ and p:
+            dens = {c.denominator for c in self.coeffs.values()}
+            L = lcm(*dens)
+            if L % p:
+                inv = pow(L, -1, p)
+                scale = {q: L // q * inv % p for q in dens}
+                out = {}
+                for e, c in self.coeffs.items():
+                    v = c.numerator * scale[c.denominator] % p
+                    if v:
+                        out[e] = v
+                return HomogPoly._trusted(new_field, self.degree, out)
         return HomogPoly(new_field, self.degree, self.coeffs)
 
     def normalized(self):

@@ -16,16 +16,21 @@ eliminates with the same kernel.
 Koszul syzygy for ``mdr``, a paper's syzygy for the trichotomies) it ranks
 AR_r only for r < u, since AR_r != 0 implies AR_{r+1} != 0.  The scan runs
 upward from r = 0, except for the syzygy of a point of highest multiplicity
-m_max of a line arrangement, where mdr = u = d - m_max is the common answer:
-there it ranks AR_{u-1} first, so that one rank and the seed prove mdr = u,
-and scans r = 0 .. u-2 only if AR_{u-1} != 0.  Under the modular backend
-only the first voting prime scans; each other prime checks that answer with
-at most two ranks (at r-1 and r) or one rank and the seed, and scans only if
-the check fails.
+m_max of a line arrangement, where mdr = u = d - m_max is the common answer
+unless tau exceeds the du Plessis-Wall bound at u: there it ranks AR_{u-1}
+first, so that one rank and the seed prove mdr = u, and scans r = 0 .. u-2
+only if AR_{u-1} != 0.  Under the modular backend only the first voting
+prime scans; each other prime checks that answer with at most two ranks (at
+r-1 and r) or one rank and the seed, and scans only if the check fails.
+
+``_proved_mdr`` replaces the first prime's scan where ``classify`` predicts
+the mdr (an arrangement whose top multiplicity m has 2m >= d): the
+certificate's nullspace at the prediction proves it, and the other primes
+check it as above.
 
 ``ar_slice`` converts and re-verifies every basis triple of AR_r;
-``classify`` reports only basis vector 0, and ``_first_syzygy`` converts and
-re-verifies only that one.
+``classify`` reports only basis vector 0, and ``_first_syzygy`` and
+``_proved_mdr`` convert and re-verify only that one.
 """
 
 from __future__ import annotations
@@ -237,30 +242,9 @@ def _primitive(s: SyzygyTriple) -> SyzygyTriple:
                         s.f_degree)
 
 
-def _mdr_scan(f: HomogPoly, u: int, build,
-              backend: Backend | None = None, top: bool = False) -> int:
-    """mdr(f) given a seed: a syzygy of degree u that ``build()`` returns
-    over f's field.  In the first field of ``compute``: the first r < u with
-    AR_r != 0, else u, once the seed (built at most once, made primitive
-    over Q) is mapped into that field and verified there; ArithmeticError
-    if it is zero, of another degree or no syzygy.  No rank at u or above
-    is taken.
-
-    Since x * (a, b, c) is a nonzero syzygy of degree s + 1 whenever
-    (a, b, c) is one of degree s, AR_{r-1} = 0 gives AR_s = 0 for every
-    s < r.  So ``check(g, r)``, AR_{r-1} = 0 and then AR_r != 0 (r < u) or
-    the seed verified in g's field (r = u), passes iff the scan of g
-    answers r; both of its ranks are ranks that scan takes too.  Every
-    voting field after the first checks the first field's answer instead
-    of scanning, and scans only if the check fails.
-
-    The scan ranks upward from r = 0, unless ``top`` says that the seed is
-    the syzygy of a point of highest multiplicity.  Then mdr = u is the
-    likely answer, and the scan ranks AR_{u-1} first: if it is 0, only the
-    seed is left to verify, as in ``check(g, u)``; otherwise it scans
-    r = 0 .. u-2 and answers u-1 if none of them has a syzygy.  At any other
-    point of an arrangement mdr <= d - m_max < u, so a rank at u-1 first
-    would be wasted."""
+def _seeded_scan(f: HomogPoly, u: int, build, top: bool):
+    """(seeded, scan, check) of ``_mdr_scan`` for f and its seed, which is
+    built at most once and shared by every field."""
     seed = lru_cache(maxsize=None)(
         lambda: _primitive(build()) if f.field == QQ else build())
 
@@ -289,7 +273,61 @@ def _mdr_scan(f: HomogPoly, u: int, build,
             return False
         return ar_dimension(g, r) > 0 if r < u else seeded(g)
 
+    return seeded, scan, check
+
+
+def _mdr_scan(f: HomogPoly, u: int, build,
+              backend: Backend | None = None, top: bool = False) -> int:
+    """mdr(f) given a seed: a syzygy of degree u that ``build()`` returns
+    over f's field.  In the first field of ``compute``: the first r < u with
+    AR_r != 0, else u, once the seed (built at most once, made primitive
+    over Q) is mapped into that field and verified there; ArithmeticError
+    if it is zero, of another degree or no syzygy.  No rank at u or above
+    is taken.
+
+    Since x * (a, b, c) is a nonzero syzygy of degree s + 1 whenever
+    (a, b, c) is one of degree s, AR_{r-1} = 0 gives AR_s = 0 for every
+    s < r.  So ``check(g, r)``, AR_{r-1} = 0 and then AR_r != 0 (r < u) or
+    the seed verified in g's field (r = u), passes iff the scan of g
+    answers r; both of its ranks are ranks that scan takes too.  Every
+    voting field after the first checks the first field's answer instead
+    of scanning, and scans only if the check fails.
+
+    The scan ranks upward from r = 0, unless ``top`` says that the seed is
+    the syzygy of a point of highest multiplicity and mdr = u is not
+    excluded.  Then mdr = u is the likely answer, and the scan ranks
+    AR_{u-1} first: if it is 0, only the seed is left to verify, as in
+    ``check(g, u)``; otherwise it scans r = 0 .. u-2 and answers u-1 if
+    none of them has a syzygy.  At any other point of an arrangement
+    mdr <= d - m_max < u, so a rank at u-1 first would be wasted."""
+    _, scan, check = _seeded_scan(f, u, build, top)
     return compute(scan, f, backend, what="mdr", check=check)
+
+
+def _proved_mdr(f: HomogPoly, image: HomogPoly, r: int, u: int, build,
+                backend: Backend | None, top: bool):
+    """(mdr(f), basis vector 0 of AR(image)_mdr or None), given a predicted
+    mdr r <= u, the seed of ``_mdr_scan`` and ``image``, f in the first
+    field of ``compute``.
+
+    The certificate's nullspace of AR(image)_r is taken first.  It proves
+    mdr(image) = r when it is nonzero and r = 0, or dim AR_r <= 2, or one
+    rank shows AR_{r-1} = 0: by the monotonicity in ``_mdr_scan`` nothing
+    lies below r.  And dim AR_r <= 2 gives AR_{r-1} = 0: a nonzero rho' in
+    AR_{r-1} puts x*rho', y*rho', z*rho' in AR_r, and they are independent,
+    since (a*x + b*y + c*z) * rho' = 0 forces a = b = c = 0.  At r = u the
+    seed is verified in the first field too, as the scan would.  A proved r
+    is the first field's answer of ``_mdr_scan``'s vote, which the other
+    fields check as usual, and the certificate comes with it; otherwise
+    this is ``_mdr_scan`` (with ``top``) and the certificate None."""
+    seeded, scan, check = _seeded_scan(f, u, build, top)
+    vecs = _slice_nullspace(image, r)
+    if (vecs and (r == 0 or len(vecs) <= 2 or ar_dimension(image, r - 1) == 0)
+            and (r < u or seeded(image))):
+        return (compute(scan, f, backend, what="mdr", check=check, first=r),
+                _reverified(image, _vector_to_triple(image.field, vecs[0], r,
+                                                     image.degree)))
+    return compute(scan, f, backend, what="mdr", check=check), None
 
 
 def mdr(f: HomogPoly, backend: Backend | None = None) -> int:

@@ -9,15 +9,24 @@ and tau = (d-1)^2 - r(d-r-1) - 1; neither otherwise.  It gets (r, tau) by
 one of three routes:
 
 - Arrangement.  The polynomial that ``LineArrangement.f`` returns records
-  its arrangement.  Its mdr is scanned only below u = d - m_max, where the
-  point syzygy of a point of highest multiplicity is the seed of
-  ``_mdr_scan`` (voted like every mdr; it ranks AR_{u-1} first, since
-  mdr = u is the common case), and tau = sum (m_p - 1)^2 over the
-  intersection points, exact in the arrangement's field.  Each point is an
-  ordinary m-fold point: locally m concurrent lines, a homogeneous
-  singularity, whose Tjurina number equals its Milnor number (m - 1)^2
-  (Euler's relation puts the local equation in its Jacobian ideal, since
-  the characteristic is 0 or p > d >= m).  No Milnor-algebra rank is taken.
+  its arrangement.  tau = sum (m_p - 1)^2 over the intersection points,
+  exact in the arrangement's field.  Each point is an ordinary m-fold
+  point: locally m concurrent lines, a homogeneous singularity, whose
+  Tjurina number equals its Milnor number (m - 1)^2 (Euler's relation puts
+  the local equation in its Jacobian ideal, since the characteristic is 0
+  or p > d >= m).  No Milnor-algebra rank is taken.  The point syzygy of a
+  point of highest multiplicity m, of degree u = d - m, seeds the mdr
+  (voted like every mdr), which the paper's trichotomy confines: mdr = u,
+  or mdr = m-1 and f free, or m <= mdr <= u-1.
+  - When 2m >= d the middle range is empty, and phi1(d, r) = phi1(d, d-1-r)
+    leaves one mdr: r0 = min(m-1, u) if tau = phi1(d, r0), else u.  In the
+    first voting field the certificate's nullspace at that mdr proves it
+    (``syzygy._proved_mdr``: dim AR_r <= 2, or one rank at r-1), and the
+    other fields check it.  An unproved prediction falls back to the scan.
+  - Otherwise ``_mdr_scan`` scans below u.  It ranks AR_{u-1} first, since
+    mdr = u is the common case, unless tau exceeds the du Plessis-Wall
+    bound at u (``_top_first``), which excludes mdr = u: then it ranks
+    upward from 0.
 - Rank.  Every other curve gets mdr from the scan seeded by the Koszul
   syzygy at d-1 (``mdr``, the checked vote: only the first voting prime
   scans), and its verdict at that mdr is voted in every field.  For
@@ -51,16 +60,17 @@ one of three routes:
   curve still has its socle.  ``global_tjurina`` always takes this route.
 
 The certificate is the first basis vector of AR(f)_r in the first computing
-field on every route, computed once outside the vote, so a curve gets the
-same report whichever route decides it.  It is the one verified vector of a
-classification: of that nullspace only basis vector 0 is converted to a
-triple and re-verified (``ar_slice`` still returns the whole verified
-basis).
+field on every route, computed once outside the vote (or by the nullspace
+that proved the mdr), so a curve gets the same report whichever route
+decides it.  It is the one verified vector of a classification: of that
+nullspace only basis vector 0 is converted to a triple and re-verified
+(``ar_slice`` still returns the whole verified basis).
 
-``_seeded_mdr`` is the one place that picks a curve's seed, for ``classify``
-and ``multiplicity_bound_check``; the rest of ``classify`` (``_report``)
-reports at a given, already voted mdr.  The free case of ``_trichotomy``
-reports at the mdr its own scan found, so it does not scan again.
+``_seeded_mdr`` is the one place that picks a curve's seed and predicts its
+mdr, for ``classify`` and ``multiplicity_bound_check`` (which needs no
+certificate, so it scans); the rest of ``classify`` (``_report``) reports at
+a given, already voted mdr.  The free case of ``_trichotomy`` reports at the
+mdr its own scan found, so it does not scan again.
 
 ``classify`` and ``global_tjurina`` share one input gate, run before any
 linear algebra.  It takes the fields from ``backend.fields_for``, which
@@ -83,8 +93,9 @@ from math import comb
 from .backend import Backend, compute, describe, fields_for
 from .linalg import rank_mod_np
 from .poly import HomogPoly, is_reduced, monomial_count
-from .syzygy import (SyzygyTriple, _first_syzygy, _mdr_scan, ar_dimension,
-                     ar_slice, graded_multiplication_matrix, mdr)
+from .syzygy import (SyzygyTriple, _first_syzygy, _mdr_scan, _proved_mdr,
+                     ar_dimension, ar_slice, graded_multiplication_matrix,
+                     mdr)
 
 __all__ = [
     "MilnorProfile",
@@ -267,20 +278,44 @@ def _route(f: HomogPoly):
     return f._arrangement._route() if f._arrangement is not None else None
 
 
-def _seeded_mdr(f: HomogPoly, backend: Backend | None) -> int:
-    """mdr(f) by the one checked scan, seeded by a point of highest
-    multiplicity (ranked at u-1 first) on the arrangement route and by the
-    Koszul syzygy (``mdr``) otherwise: where a curve's scan starts."""
+def _top_first(d: int, u: int, tau: int) -> bool:
+    """Whether the scan seeded by a point of highest multiplicity, at degree
+    u = d - m_max, ranks AR_{u-1} first: unless tau exceeds the du
+    Plessis-Wall bound at u, which excludes mdr = u."""
+    return tau <= dpw_bounds(d, u)[0]
+
+
+def _seeded_mdr(f: HomogPoly, backend: Backend | None,
+                image: HomogPoly | None = None):
+    """(mdr(f), basis vector 0 of AR(image)_mdr or None): where a curve's
+    scan starts.  Off the arrangement route the Koszul syzygy seeds it
+    (``mdr``); on it, a point of highest multiplicity m at u = d - m,
+    ranked at u-1 first unless ``_top_first`` excludes mdr = u.  Given
+    ``image`` (f in the first field, from ``_admit``) and 2m >= d, the
+    trichotomy leaves one mdr: r0 = min(m-1, d-m) if tau = phi1(d, r0), else
+    u.  ``_proved_mdr`` takes the certificate's nullspace there first, and
+    returns the certificate when it proves that mdr."""
     route = _route(f)
-    return (mdr(f, backend) if route is None
-            else _mdr_scan(f, *route[:2], backend, top=True))
+    if route is None:
+        return mdr(f, backend), None
+    u, build, tau = route
+    d = f.degree
+    m = d - u
+    top = _top_first(d, u, tau)
+    if image is None or 2 * m < d:
+        return _mdr_scan(f, u, build, backend, top), None
+    r0 = min(m - 1, u)
+    return _proved_mdr(f, image, r0 if tau == _phi1(d, r0) else u, u, build,
+                       backend, top)
 
 
 def _report(f: HomogPoly, image: HomogPoly, r: int,
-            backend: Backend | None) -> FreenessReport:
+            backend: Backend | None,
+            certificate: SyzygyTriple | None = None) -> FreenessReport:
     """``classify``'s report of f at its voted mdr r (``image`` from
     ``_admit``).  Off the arrangement route only the rank / Hilbert verdict
-    is voted here; the certificate is basis vector 0 of AR(image)_r."""
+    is voted here; the certificate is basis vector 0 of AR(image)_r, taken
+    from ``certificate`` when the mdr proof already built it."""
     d = f.degree
     route = _route(f)
     verdict = _dpw_verdict(d, r, route[2]) if route is not None else compute(
@@ -304,7 +339,8 @@ def _report(f: HomogPoly, image: HomogPoly, r: int,
         tau=tau,
         classification=verdict.classification,
         exponents=verdict.exponents,
-        certificate=_first_syzygy(image, r),
+        certificate=(_first_syzygy(image, r) if certificate is None
+                     else certificate),
         bounds=bounds,
         **describe(f, backend),
     )
@@ -314,29 +350,35 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     """Compute r = mdr(f) and tau, then decide free / nearly free / neither /
     cone with exponents and a syzygy certificate.
 
-    mdr is scanned once (``_seeded_mdr``) and the rest reported at it.  The
+    mdr is found once (``_seeded_mdr``) and the rest reported at it.  The
     product of a ``LineArrangement``'s lines takes the arrangement route:
-    mdr scanned below the degree d - m_max of a point syzygy, and the
-    combinatorial tau = sum (m_p - 1)^2, with no Milnor-algebra rank.  Any
-    other polynomial, including the same coefficients given as text, is
-    decided free by one rank at d-1-mdr, and otherwise by the Hilbert tau.
-    All routes give the same report; see the module docstring."""
+    the combinatorial tau = sum (m_p - 1)^2, with no Milnor-algebra rank,
+    and mdr proved by the certificate's nullspace where the trichotomy
+    leaves one value (2 m_max >= d), else scanned below the degree
+    d - m_max of a point syzygy.  Any other polynomial, including the same
+    coefficients given as text, is decided free by one rank at d-1-mdr, and
+    otherwise by the Hilbert tau.  All routes give the same report; see the
+    module docstring."""
     image = _admit(f, backend)
-    return _report(f, image, _seeded_mdr(f, backend), backend)
+    r, certificate = _seeded_mdr(f, backend, image)
+    return _report(f, image, r, backend, certificate)
 
 
 def _trichotomy(f: HomogPoly, u: int, build,
                 backend: Backend | None = None, top: bool = False):
     """The paper's case split for f with an explicit syzygy of degree u
     (``build()`` returns it over f's field, for ``_mdr_scan``; ``top`` when
-    it is the syzygy of a point of highest multiplicity): mdr = u
+    it is the syzygy of a point of highest multiplicity of f's arrangement,
+    whose scan ranks AR_{u-1} first unless ``_top_first`` excludes mdr = u):
+    mdr = u
     ("generic"), or mdr = d-1-u and f free with exponents (d-1-u, u)
     ("free"), or d-u <= mdr <= u-1 ("middle").  Returns (case, mdr, the
     range the case allows for mdr, the ``classify`` report of the free
     case, made at this r without a second scan, or None); any other outcome
     raises InconsistencyError."""
     d = f.degree
-    r = _mdr_scan(f, u, build, backend, top)
+    r = _mdr_scan(f, u, build, backend,
+                  top and _top_first(d, u, _route(f)[2]))
     if r == u:
         return "generic", r, (u, u), None
     if r >= d - u:

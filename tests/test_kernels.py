@@ -2,8 +2,9 @@
 here: the numpy scatter that fills a graded multiplication matrix against a
 per-term loop, the grid product and sum of products of GF(p) forms (``dot``)
 and the rational product against the term-by-term product ``_mul_terms``,
-``verify_syzygy`` and ``diff`` against the accumulate-by-``+`` and per-term
-references they replace, and the kept gradient against fresh partials.  A
+``verify_syzygy``, ``diff`` and ``map_field`` against the accumulate-by-``+``
+and per-term references they replace, and the kept gradient against fresh
+partials.  A
 prime of 2^31 or more is refused; where a test is parametrized with one,
 the refusal is what it checks."""
 
@@ -441,6 +442,38 @@ def test_diff_drops_exponents_divisible_by_the_characteristic():
     for dq in (q.diff(0), reference_diff(q, 0)):
         assert dq.is_zero() and dq.degree == -1 and dq.coeffs == {}
     assert q.diff(2) == reference_diff(q, 2) == poly_parse("x^5", F)
+
+
+def reference_map_field(f, field):
+    """The coefficient-wise image: one coercion (and one inverse) each."""
+    return HomogPoly(field, f.degree, f.coeffs)
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=str)
+def test_map_field_matches_the_per_coefficient_reference(field):
+    rng = random.Random(f"map:{field}")
+    for e in (0, 1, 4, 7):
+        f = random_form(rng, QQ, e)
+        # denominators beyond 1..4, and numerators the prime divides
+        f = f.scale(Fraction(field.p, 7 * 11 * 13)) + random_form(rng, QQ, e)
+        g = f.map_field(field)
+        ref = reference_map_field(f, field)
+        assert (g.degree, list(g.coeffs.items())) == (
+            ref.degree, list(ref.coeffs.items()))
+    zero = HomogPoly.zero(QQ).map_field(field)
+    assert (zero.degree, zero.coeffs) == (-1, {})
+
+
+def test_map_field_refuses_a_denominator_the_prime_divides():
+    F = PrimeField(1000003)
+    f = poly_parse("x^2 + y*z").scale(Fraction(3, 2 * F.p))
+    for image in (lambda: f.map_field(F), lambda: reference_map_field(f, F)):
+        with pytest.raises(FieldError,
+                           match=f"denominator of 3/{2 * F.p} vanishes"):
+            image()
+    # every coefficient a multiple of p: the image is the zero form
+    g = poly_parse("x - y").scale(F.p).map_field(F)
+    assert (g.degree, g.coeffs) == (-1, {})
 
 
 # one GF(p) product path -----------------------------------------------------

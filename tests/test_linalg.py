@@ -397,9 +397,10 @@ def test_one_elimination_matches_reference_on_deck_matrices():
     mats = _deck_matrices()
     shapes = Counter((len(rows), len(rows[0])) for _, rows in mats)
     # Macaulay matrices of the degree-2 partials of a k = 3 pencil and
-    # their 3 x 3 minors, plus a rank and a certificate nullspace a round
+    # their 3 x 3 minors, plus a certificate nullspace a round, which also
+    # proves the mdr of that d = 4 arrangement (2m >= d)
     assert shapes[15, 15] == shapes[3, 3] > 0
-    assert len(mats) == 2 * shapes[15, 15] + 8
+    assert len(mats) == 2 * shapes[15, 15] + 4
     assert {F for F, _ in mats} == {QQ}
     for F, rows in mats:
         _assert_matches_reference_rref(F, rows)

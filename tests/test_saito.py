@@ -1,7 +1,9 @@
 """The fast routes of ``classify``, tested against the paths they replace:
-the one-rank free test against the Hilbert oracle for free curves, and the
-arrangement route against the bare polynomial with the same coefficients;
-and the reducedness gate in front of all of them."""
+the one-rank free test against the Hilbert oracle for free curves, the
+arrangement route against the bare polynomial with the same coefficients,
+and its mdr, proved from the certificate's nullspace where 2 m_max >= d,
+against the scan (``_mdr_scan``); and the reducedness gate in front of all
+of them."""
 
 import json
 import random
@@ -10,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jacsyz import poly, syzygy, tjurina
 from jacsyz.arrangements import (LineArrangement, arrangement_to_file,
@@ -21,7 +23,8 @@ from jacsyz.cli import main
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.poly import HomogPoly, homog_gcd, is_reduced, poly_parse
-from jacsyz.syzygy import ar_slice, graded_multiplication_matrix, mdr
+from jacsyz.syzygy import (_koszul, _mdr_scan, _proved_mdr, ar_dimension,
+                           ar_slice, graded_multiplication_matrix, mdr)
 from jacsyz.tjurina import NotReducedError, classify, global_tjurina
 
 _hilbert_profile = tjurina._profile
@@ -376,11 +379,23 @@ def route_report(A, backend=None):
     return rep
 
 
+def scanned(f, backend=None):
+    """``classify``'s report of an arrangement's f with mdr from
+    ``_mdr_scan``, seeded by a top point and ranked at u-1 first: the scan
+    that a proved mdr replaces."""
+    u, build, _ = f._arrangement._route()
+    image = tjurina._admit(f, backend)
+    return tjurina._report(f, image, _mdr_scan(f, u, build, backend, True),
+                           backend)
+
+
 def assert_route_matches_bare(A, backend=None, hilbert=True):
-    """The route's report equals the bare polynomial's byte for byte, and
-    its tau is the Hilbert tau (when ``hilbert``) and the lattice's."""
+    """The route's report equals the bare polynomial's and the scan's byte
+    for byte, and its tau is the Hilbert tau (when ``hilbert``) and the
+    lattice's."""
     rep = route_report(A, backend)
     assert _json(rep) == _json(classify(bare(A.f), backend))
+    assert _json(rep) == _json(scanned(A.f, backend))
     assert rep.tau == tau_combinatorial(A)
     if hilbert:
         assert rep.tau == global_tjurina(A.f, backend).tau
@@ -392,6 +407,7 @@ def test_arrangement_fixtures_take_the_route(name):
     A = get_fixture(name).arrangement
     assert A.f._arrangement is A
     assert_route_matches_bare(A, MODULAR)
+    assert_route_matches_bare(A, make_backend(primes=1, seed=0), False)
     if A.field != QQ:  # every backend computes in the fixture's own GF(p)
         assert_route_matches_bare(A)
         return
@@ -404,9 +420,13 @@ def test_arrangement_fixtures_take_the_route(name):
 
 @pytest.mark.parametrize("index", range(6))
 def test_random_cones_take_the_route(cones, index):
+    # a cone's apex carries every added line and one more: 2m >= d
     B, sk = cones[index]
-    rep = assert_route_matches_bare(B, make_backend(primes=1, seed=index))
-    assert (rep.exponents, rep.tau) == (sk.expected_exponents, sk.expected_tau)
+    assert 2 * B.lattice().m_max >= B.d
+    for backend in (make_backend(primes=1, seed=index), MODULAR):
+        rep = assert_route_matches_bare(B, backend)
+        assert (rep.exponents, rep.tau) == (sk.expected_exponents,
+                                            sk.expected_tau)
 
 
 @settings(max_examples=30, deadline=None)
@@ -422,6 +442,21 @@ def test_random_arrangements_take_the_route(covs, field):
         A = LineArrangement(field, covs)
     except ValueError:  # repeated line
         return
+    assert_route_matches_bare(A, MODULAR if field == QQ else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=6, unique=True),
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                max_size=5, unique=True),
+       st.sampled_from([QQ, F_LARGE]))
+def test_random_arrangements_with_a_heavy_point_take_the_route(
+        slopes, others, field):
+    # distinct lines x + t*y through (0 : 0 : 1) and a*x + b*y + z off it;
+    # with 2m >= d the mdr is proved from the certificate's nullspace
+    A = LineArrangement(field, [(1, t, 0) for t in slopes]
+                        + [(a, b, 1) for a, b in others])
+    assume(2 * A.lattice().m_max >= A.d)
     assert_route_matches_bare(A, MODULAR if field == QQ else None)
 
 
@@ -571,3 +606,78 @@ def test_one_certificate_verification(monkeypatch):
     # bare, the free test is a rank: again only the certificate is verified
     assert classify(bare(A.f), MODULAR).certificate == rep.certificate
     assert seen == [9]
+
+
+# -- the proved mdr: what the first voting field eliminates -----------------
+
+def _eliminations(monkeypatch):
+    """(kind, p, columns) of every GF(p) elimination ``syzygy`` takes."""
+    seen = []
+    for kind in ("rank_mod_np", "nullspace_mod_np"):
+        real = getattr(syzygy, kind)
+
+        def spy(A, p, real=real, kind=kind):
+            seen.append((kind, p, A.shape[1]))
+            return real(A, p)
+        monkeypatch.setattr(syzygy, kind, spy)
+    return seen
+
+
+def _columns(r):
+    return 3 * poly.monomial_count(r)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_a_proved_mdr_takes_no_rank_in_the_first_field(cones, index,
+                                                        monkeypatch):
+    # dim AR_mdr <= 2 proves AR_{mdr-1} = 0, so the first prime's one
+    # elimination is the certificate's nullspace; the others check
+    B, _ = cones[index]
+    p, *rest = MODULAR.primes
+    r = classify(B.f, MODULAR).mdr
+    assert 1 <= ar_dimension(B.f.map_field(PrimeField(p)), r) <= 2
+    seen = _eliminations(monkeypatch)
+    classify(B.f, MODULAR)
+    assert [e for e in seen if e[1] == p] == [
+        ("nullspace_mod_np", p, _columns(r))]
+    check = [r - 1] + [r] * (r < B.d - B.lattice().m_max)
+    for q in rest:
+        assert [e for e in seen if e[1] == q] == [
+            ("rank_mod_np", q, _columns(k)) for k in check]
+
+
+def test_a_third_syzygy_costs_the_first_field_one_rank(monkeypatch):
+    # four general lines: nearly free (2, 2), dim AR_2 = 3 > 2, so the
+    # first prime also ranks AR_1
+    A = LineArrangement(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    p = MODULAR.primes[0]
+    assert ar_dimension(A.f.map_field(PrimeField(p)), 2) == 3
+    rep = assert_route_matches_bare(A, MODULAR)
+    assert (rep.classification, rep.mdr) == ("nearly-free", 2)
+    seen = _eliminations(monkeypatch)
+    classify(A.f, MODULAR)
+    assert [e for e in seen if e[1] == p] == [
+        ("nullspace_mod_np", p, _columns(2)), ("rank_mod_np", p, _columns(1))]
+
+
+# five lines through (0 : 0 : 1) and z = 0: free with exponents (1, 4), so
+# AR_2 = S_1 * rho1 has dimension 3 and AR_1 != 0
+NEAR_PENCIL = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0),
+               (0, 0, 1)]
+
+
+@pytest.mark.parametrize("field, backend", [
+    (QQ, None), (QQ, make_backend("rational")), (F_LARGE, None),
+    (QQ, MODULAR)], ids=["Q", "rational", "F_LARGE", "modular"])
+def test_three_syzygies_at_d1_plus_1_are_no_proof(field, backend):
+    # at r = d1 + 1 of a free curve with d1 + 1 < d2, dim AR_r = 3 and
+    # AR_{r-1} != 0: the nullspace at r must not be taken as a proof
+    f = LineArrangement(field, NEAR_PENCIL).f
+    image = f.map_field(fields_for(f, backend)[0])
+    assert (ar_dimension(image, 2), ar_dimension(image, 1)) == (3, 1)
+    build = lambda: _koszul(f)  # noqa: E731
+    assert _proved_mdr(f, image, 2, f.degree - 1, build, backend,
+                       False) == (1, None)
+    r, certificate = _proved_mdr(f, image, 1, f.degree - 1, build, backend,
+                                 False)
+    assert r == 1 and certificate == ar_slice(image, 1).basis[0]

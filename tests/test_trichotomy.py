@@ -408,16 +408,13 @@ def _ranks_by_field(monkeypatch):
     return seen
 
 
-def _expected_ranks(f, backend, r, u, top=False):
-    """The first field scans 0..r (0..u-1 at r = u); with a top seed it
-    ranks at u-1 first, and below u scans 0..r without ranking u-1 again.
-    Every other field ranks at r-1 and, below the seed degree, at r."""
+def _expected_ranks(f, backend, r, u, scan=None):
+    """The first field takes the ranks ``scan``, by default an upward scan
+    of 0..r (0..u-1 at r = u).  Every other field ranks at r-1 and, below
+    the seed degree, at r."""
     first, *rest = fields_for(f, backend)
     check = [r - 1] * (r > 0) + [r] * (r < u)
-    if top:
-        scan = [u - 1] * (u > 0) + (list(range(min(r + 1, u - 1)))
-                                    if r < u else [])
-    else:
+    if scan is None:
         scan = list(range(min(r + 1, u)))
     ranks = {first: scan, **{F: check for F in rest}}
     return {F: seen for F, seen in ranks.items() if seen}
@@ -460,39 +457,60 @@ def test_the_free_case_of_thm11_scans_once(name, monkeypatch):
                                    2 * spec.pencil.k - 2)
 
 
+# (first-field ranks of multiplicity_bound_check, of classify).  The first
+# ranks AR_{u-1} first where mdr = u is not excluded (triangle, ex1); on
+# every other fixture tau exceeds the du Plessis-Wall bound at u = d - m_max
+# and it scans upward.  classify proves mdr from the certificate's
+# nullspace with no rank where 2m >= d (triangle, ex1, ex2a, ex12i:2, all
+# with dim AR_mdr <= 2) and scans elsewhere.
+ARRANGEMENT_FIRST_RANKS = {
+    "triangle": ([0], []), "ex1": ([1], []),
+    "ex2a": ([0, 1, 2, 3], []), "ex2b": ([0, 1, 2, 3],) * 2,
+    "ex3": (list(range(10)),) * 2, "ex5": ([0, 1, 2, 3, 4],) * 2,
+    "ex12i:2": ([0, 1, 2], []), "ex12i:3": ([0, 1, 2, 3, 4],) * 2,
+    "ex12i:4": (list(range(6)),) * 2, "ex12i:5": (list(range(7)),) * 2,
+    "ex12ix:3": ([0, 1, 2, 3, 4],) * 2,
+}
+
+
 @pytest.mark.parametrize("name", ARRANGEMENTS)
 def test_later_fields_only_check_the_arrangement_mdr(name, monkeypatch):
     A = get_fixture(name).arrangement
     u = A.d - A.lattice().m_max
     r = _reference_mdr(A.f, BACKEND)
+    scan, proved = ARRANGEMENT_FIRST_RANKS[name]
     seen = _ranks_by_field(monkeypatch)
     assert multiplicity_bound_check(A, BACKEND)[1] == Fraction(2 * A.d, r + 2)
-    assert seen == _expected_ranks(A.f, BACKEND, r, u, top=True)
+    assert seen == _expected_ranks(A.f, BACKEND, r, u, scan)
     seen.clear()
     assert classify(A.f, BACKEND).mdr == r
-    assert seen == _expected_ranks(A.f, BACKEND, r, u, top=True)
+    assert seen == _expected_ranks(A.f, BACKEND, r, u, proved)
 
 
 def _first_field_ranks(monkeypatch, fn, A):
     seen = _ranks_by_field(monkeypatch)
     fn()
-    return seen[fields_for(A.f, BACKEND)[0]]
+    return seen.get(fields_for(A.f, BACKEND)[0], [])
 
 
-@pytest.mark.parametrize("name, u, r", [("ex2a", 4, 3), ("ex3", 13, 9)])
+@pytest.mark.parametrize("name, u, r", [("ex1", 2, 2), ("ex2a", 4, 3),
+                                        ("ex3", 13, 9)])
 def test_a_top_seed_ranks_its_degree_first(name, u, r, monkeypatch):
-    # AR_{u-1} != 0, so the first field scans upward from 0; at r = u-1
-    # (ex2a) it answers u-1 without ranking it again
+    # a top seed ranks AR_{u-1} first (ex1) unless tau exceeds the du
+    # Plessis-Wall bound at u, which excludes mdr = u (ex2a, ex3): then it
+    # scans upward from 0; classify with 2m >= d (ex1, ex2a) proves mdr
+    # from its certificate's nullspace and takes no rank
     A = get_fixture(name).arrangement
     top = A.lattice().points[0]
     assert (A.d - top.multiplicity, _reference_mdr(A.f, BACKEND)) == (u, r)
-    expected = [u - 1] + list(range(min(r + 1, u - 1)))
-    for fn in (lambda: classify(A.f, BACKEND),
-               lambda: multiplicity_bound_check(A, BACKEND)):
-        assert _first_field_ranks(monkeypatch, fn, A) == expected
+    scan, proved = ARRANGEMENT_FIRST_RANKS[name]
+    assert _first_field_ranks(
+        monkeypatch, lambda: classify(A.f, BACKEND), A) == proved
+    assert _first_field_ranks(
+        monkeypatch, lambda: multiplicity_bound_check(A, BACKEND), A) == scan
     # the free case (ex2a) reports at that mdr without scanning again
     assert _first_field_ranks(
-        monkeypatch, lambda: trichotomy(A, top, BACKEND), A) == expected
+        monkeypatch, lambda: trichotomy(A, top, BACKEND), A) == scan
 
 
 def test_a_lower_point_ranks_upward_from_zero(monkeypatch):
