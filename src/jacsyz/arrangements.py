@@ -278,15 +278,12 @@ class TrichotomyResult:
 
 def trichotomy(A: LineArrangement, p: LatticePoint,
                backend: Backend | None = None) -> TrichotomyResult:
-    """Exhaustive case split for a multiple point, seeded by its syzygy of
-    degree d-m: either r = d-m (case 0), or r = m-1 with freeness certified
-    (case 1), or m <= r <= d-m-1 (case 2).  Raising here would falsify the
-    trichotomy theorem."""
-    # below the highest multiplicity mdr <= d - m_max < d - m, so only a
-    # top point's scan starts with the check at its seed degree
-    case, r, _, report = _trichotomy(
-        A.f, A.d - p.multiplicity, lambda: _point_triple(A, p), backend,
-        top=p.multiplicity == A.lattice().m_max)
+    """Exhaustive case split for a multiple point of multiplicity m at the
+    arrangement's mdr r, the one ``classify`` and
+    ``multiplicity_bound_check`` find: either r = d-m (case 0), or r = m-1
+    with freeness certified (case 1), or m <= r <= d-m-1 (case 2).  Raising
+    here would falsify the trichotomy theorem."""
+    case, r, _, report = _trichotomy(A.f, A.d - p.multiplicity, backend)
     return TrichotomyResult(("generic", "free", "middle").index(case), r,
                             p.multiplicity, A.d, report)
 

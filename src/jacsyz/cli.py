@@ -57,6 +57,15 @@ def _load_fixture(name, args):
     return fx
 
 
+def _read_input(args):
+    """(text, whether it came from a file): the contents of the file
+    ``args.input`` names when that path exists, else ``args.input``."""
+    if not os.path.exists(args.input):
+        return args.input, False
+    with open(args.input) as fh:
+        return fh.read(), True
+
+
 def _resolve_curve(args):
     """Fixture name, file path (arrangement or polynomial), or inline
     polynomial -> (HomogPoly, LineArrangement | None)."""
@@ -66,10 +75,8 @@ def _resolve_curve(args):
         if fx.f is None:
             raise InputError(f"fixture {args.input!r} is not a curve")
         return fx.f, fx.arrangement
-    text = args.input
-    if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
+    text, from_file = _read_input(args)
+    if from_file:
         try:
             A = parse_arrangement_file(text, field)
             return A.f, A
@@ -88,11 +95,7 @@ def _resolve_arrangement(args) -> LineArrangement:
         if fx.arrangement is None:
             raise InputError(f"fixture {args.input!r} has no line arrangement")
         return fx.arrangement
-    text = args.input
-    if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
-    return parse_arrangement_file(text, field)
+    return parse_arrangement_file(_read_input(args)[0], field)
 
 
 def _resolve_pencil_spec(args) -> PencilProductSpec:
@@ -107,12 +110,8 @@ def _resolve_pencil_spec(args) -> PencilProductSpec:
     if args.field is not None:
         raise InputError("--field does not apply to a pencil spec, which "
                          "names its own field")
-    text = args.input
-    if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
     try:
-        return PencilProductSpec.from_json_str(text)
+        return PencilProductSpec.from_json_str(_read_input(args)[0])
     except (json.JSONDecodeError, KeyError, ParseError) as exc:
         raise InputError(f"cannot parse pencil spec: {exc}") from exc
 
@@ -258,20 +257,21 @@ def cmd_suite(args) -> int:
     results = run_suite(seed=args.seed, name_filter=args.filter)
     if not results:
         raise InputError(f"filter {args.filter!r} matches no criterion")
-    payload = []
+    # with --json stdout holds only the JSON, free of wall times
+    table = sys.stderr if args.json else sys.stdout
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         failed += not r.passed
-        print(f"{status} {r.name:18s} {r.seconds:7.2f}s  {r.doc}")
+        print(f"{status} {r.name:18s} {r.seconds:7.2f}s  {r.doc}", file=table)
         if not r.passed:
-            print(f"     {r.detail}")
-        payload.append({"name": r.name, "passed": r.passed,
-                        "seconds": round(r.seconds, 2),
-                        "detail": str(r.detail)})
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+            print(f"     {r.detail}", file=table)
+    print(f"{len(results) - failed}/{len(results)} criteria passed",
+          file=table)
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps([{"name": r.name, "passed": r.passed,
+                           "detail": str(r.detail)} for r in results],
+                         sort_keys=True, indent=2))
     return 1 if failed else 0
 
 

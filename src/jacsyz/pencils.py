@@ -189,16 +189,11 @@ def group_product(P: PencilSpec, g: UniPoly) -> HomogPoly:
     F = P.field
     g = g.monic()
     s = g.degree
-    acc = HomogPoly.zero(F)
-    for i in range(s + 1):
-        c = g[i]
-        if (s - i) % 2:
-            c = F.neg(c)
-        # coefficient of q1^i q2^(s-i) in prod (q1 + t_j q2)
-        if F.is_zero(c):
-            continue
-        acc = acc + ((P.q1 ** i) * (P.q2 ** (s - i))).scale(c)
-    return acc
+    # the coefficient of q1^i q2^(s-i) in prod (q1 + t_j q2)
+    terms = [(i, g[i] if (s - i) % 2 == 0 else F.neg(g[i]))
+             for i in range(s + 1) if not F.is_zero(g[i])]
+    return dot([P.q1 ** i for i, _ in terms],
+               [(P.q2 ** (s - i)).scale(c) for i, c in terms])
 
 
 def build_product(spec: PencilProductSpec) -> HomogPoly:
@@ -702,7 +697,7 @@ def thm11_trichotomy(spec: PencilProductSpec,
     backend = backend or make_backend(seed=0)
     f = build_product(spec)
     return PencilCase("thm11", *_trichotomy(
-        f, 2 * k - 2, lambda: wedge_syzygy(P, f), backend))
+        f, 2 * k - 2, backend, lambda: wedge_syzygy(P, f)))
 
 
 def thm13_trichotomy(spec: PencilProductSpec,
@@ -719,5 +714,5 @@ def thm13_trichotomy(spec: PencilProductSpec,
     backend = backend or make_backend(seed=0)
     f = build_product(spec)  # checks (q1, q2, h) share no zero
     return PencilCase("thm13", *_trichotomy(
-        f, 2 * k - 2 + spec.h.degree, lambda: lemma2_syzygy(P, spec.h, m, f),
-        backend))
+        f, 2 * k - 2 + spec.h.degree, backend,
+        lambda: lemma2_syzygy(P, spec.h, m, f)))

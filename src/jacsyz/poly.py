@@ -12,6 +12,10 @@ cell receives fewer than 2^31 reduced terms, so every sum stays below 2^62
 and the pass is exact.  Over Q each product clears denominators and
 multiplies Python ints (``_mul_rational``).  A polynomial computes its
 gradient once and keeps it; nothing changes ``coeffs`` after construction.
+The parser too multiplies by one ``dot`` per degree.  The one exception is
+``restrict_binary`` (for ``is_reduced``), which multiplies binary forms term
+by term: over GF(1000003) at degree 12, ``substitute`` took 1.04 against
+0.18 ms on a sparse form and ``UniPoly`` 2.70 against 1.63 ms on a dense one.
 
 The product that ``LineArrangement.f`` returns also records its arrangement
 (``_arrangement``), so that ``classify`` can take the paper's route for it.
@@ -270,7 +274,8 @@ class HomogPoly:
 
     def restrict_binary(self, pa, pb):
         """Coefficients [c_0..c_d] of p(s*A + r*B) with c_m the coefficient
-        of s^m r^(d-m); the restriction of the form to the line through A, B."""
+        of s^m r^(d-m); the restriction of the form to the line through A, B.
+        Its binary product is the one product outside ``dot``."""
         F = self.field
         d = self.degree
         if d < 0:
@@ -503,7 +508,11 @@ def _cells(u: HomogPoly, n: int):
 
 class _Parser:
     """Recursive-descent parser for the polynomial text grammar: terms joined
-    by +/-, factors var^exp joined by '*', rational literals, parentheses."""
+    by +/-, factors var^exp joined by '*', rational literals, parentheses.
+
+    Each production returns a table degree -> nonzero ``HomogPoly`` (an
+    intermediate may mix degrees; homogeneity is checked at the top), so
+    that a product is one ``dot`` per output degree."""
 
     def __init__(self, text: str, field: Field):
         self.text = text
@@ -528,21 +537,19 @@ class _Parser:
             self.error(f"unexpected character {self.text[self.pos]!r}")
         return terms
 
-    # each production returns a plain dict exponent -> scalar (inhomogeneous
-    # intermediates are fine; homogeneity is checked at the top)
     def expression(self):
-        sign = 1
         ch = self.peek()
         if ch in ("+", "-", "−"):
             self.pos += 1
-            sign = -1 if ch != "+" else 1
-        acc = self._scaled(self.term(), sign)
+        acc = self.term()
+        if ch in ("-", "−"):
+            acc = _negated(acc)
         while True:
             ch = self.peek()
             if ch in ("+", "-", "−"):
                 self.pos += 1
                 t = self.term()
-                acc = self._add(acc, self._scaled(t, -1 if ch != "+" else 1))
+                acc = _sum(acc, t if ch == "+" else _negated(t))
             else:
                 return acc
 
@@ -552,10 +559,10 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                acc = self._mul(acc, self.factor())
+                acc = _product(acc, self.factor())
             elif ch == "(" or ch.isalpha():
                 # implicit multiplication: "3x", ")(", "x y"
-                acc = self._mul(acc, self.factor())
+                acc = _product(acc, self.factor())
             else:
                 return acc
 
@@ -564,14 +571,13 @@ class _Parser:
         while self.peek() == "^":
             self.pos += 1
             e = self.integer()
-            out = {(0, 0, 0): self.field.one()}
-            b = base
-            n = e
-            while n:
-                if n & 1:
-                    out = self._mul(out, b)
-                b = self._mul(b, b)
-                n >>= 1
+            out = _table(HomogPoly.constant(self.field, 1))
+            while e:
+                if e & 1:
+                    out = _product(out, base)
+                e >>= 1
+                if e:
+                    base = _product(base, base)
             base = out
         return base
 
@@ -586,9 +592,7 @@ class _Parser:
             return inner
         if ch in VARS:
             self.pos += 1
-            exp = [0, 0, 0]
-            exp[VARS.index(ch)] = 1
-            return {tuple(exp): self.field.one()}
+            return _table(HomogPoly.variable(self.field, ch))
         if ch.isdecimal():
             num = self.integer()
             if self.peek() == "/":
@@ -599,7 +603,7 @@ class _Parser:
                 c = self.field.coerce(Fraction(num, den))
             else:
                 c = self.field.coerce(num)
-            return {(0, 0, 0): c}
+            return _table(HomogPoly.constant(self.field, c))
         if ch == "":
             self.error("unexpected end of input")
         self.error(f"unexpected character {ch!r}")
@@ -613,45 +617,41 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start:self.pos])
 
-    def _add(self, a, b):
-        F = self.field
-        out = dict(a)
-        for e, c in b.items():
-            s = F.add(out.get(e, F.zero()), c)
-            if F.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
 
-    def _mul(self, a, b):
-        F = self.field
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = F.add(out.get(e, F.zero()), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
+def _table(q: HomogPoly) -> dict:
+    """q as a parser table: {degree: q}, or {} when q is zero."""
+    return {} if q.is_zero() else {q.degree: q}
 
-    def _scaled(self, a, sign):
-        if sign == 1:
-            return a
-        return {e: self.field.neg(c) for e, c in a.items()}
+
+def _sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for degree, q in b.items():
+        s = out.pop(degree, None)
+        out.update(_table(q if s is None else s + q))
+    return out
+
+
+def _negated(a: dict) -> dict:
+    return {degree: -q for degree, q in a.items()}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """a * b: one ``dot`` per output degree."""
+    out = {}
+    for D in {i + j for i in a for j in b}:
+        us = [u for i, u in a.items() if D - i in b]
+        vs = [b[D - i] for i in a if D - i in b]
+        out.update(_table(dot(us, vs)))
+    return out
 
 
 def poly_parse(text: str, field: Field = QQ) -> HomogPoly:
     """Parse a polynomial expression in x, y, z; must expand homogeneous."""
     table = _Parser(text, field).parse()
-    table = {e: c for e, c in table.items() if not field.is_zero(c)}
-    degrees = sorted({sum(e) for e in table})
+    degrees = sorted(table)
     if len(degrees) > 1:
         raise HomogeneityError(degrees[-1], degrees[-2])
-    degree = degrees[0] if degrees else -1
-    return HomogPoly(field, degree, table)
+    return table[degrees[0]] if degrees else HomogPoly.zero(field)
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,8 @@ def _mdr_scan(f: HomogPoly, u: int, build,
     excluded.  Then mdr = u is the likely answer, and the scan ranks
     AR_{u-1} first: if it is 0, only the seed is left to verify, as in
     ``check(g, u)``; otherwise it scans r = 0 .. u-2 and answers u-1 if
-    none of them has a syzygy.  At any other point of an arrangement
-    mdr <= d - m_max < u, so a rank at u-1 first would be wasted."""
+    none of them has a syzygy.  ``tjurina._seeded_mdr`` decides ``top``;
+    an arrangement's mdr is never scanned from a lower point's seed."""
     _, scan, check = _seeded_scan(f, u, build, top)
     return compute(scan, f, backend, what="mdr", check=check)
 

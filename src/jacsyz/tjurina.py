@@ -25,8 +25,7 @@ one of three routes:
     other fields check it.  An unproved prediction falls back to the scan.
   - Otherwise ``_mdr_scan`` scans below u.  It ranks AR_{u-1} first, since
     mdr = u is the common case, unless tau exceeds the du Plessis-Wall
-    bound at u (``_top_first``), which excludes mdr = u: then it ranks
-    upward from 0.
+    bound at u, which excludes mdr = u: then it ranks upward from 0.
 - Rank.  Every other curve gets mdr from the scan seeded by the Koszul
   syzygy at d-1 (``mdr``, the checked vote: only the first voting prime
   scans), and its verdict at that mdr is voted in every field.  For
@@ -66,11 +65,13 @@ decides it.  It is the one verified vector of a classification: of that
 nullspace only basis vector 0 is converted to a triple and re-verified
 (``ar_slice`` still returns the whole verified basis).
 
-``_seeded_mdr`` is the one place that picks a curve's seed and predicts its
-mdr, for ``classify`` and ``multiplicity_bound_check`` (which needs no
-certificate, so it scans); the rest of ``classify`` (``_report``) reports at
-a given, already voted mdr.  The free case of ``_trichotomy`` reports at the
-mdr its own scan found, so it does not scan again.
+``_seeded_mdr`` is the one place that picks a curve's seed, applies the du
+Plessis-Wall rule above and predicts its mdr, for ``classify``,
+``multiplicity_bound_check`` and ``trichotomy`` at every lattice point (the
+last two need no certificate, so they scan); ``_report`` reports at a given,
+already voted mdr.  ``_trichotomy`` splits the paper's cases at that mdr (a
+pencil theorem scans below its own seed instead) and reports the free case
+at it without a second scan.
 
 ``classify`` and ``global_tjurina`` share one input gate, run before any
 linear algebra.  It takes the fields from ``backend.fields_for``, which
@@ -278,30 +279,24 @@ def _route(f: HomogPoly):
     return f._arrangement._route() if f._arrangement is not None else None
 
 
-def _top_first(d: int, u: int, tau: int) -> bool:
-    """Whether the scan seeded by a point of highest multiplicity, at degree
-    u = d - m_max, ranks AR_{u-1} first: unless tau exceeds the du
-    Plessis-Wall bound at u, which excludes mdr = u."""
-    return tau <= dpw_bounds(d, u)[0]
-
-
 def _seeded_mdr(f: HomogPoly, backend: Backend | None,
                 image: HomogPoly | None = None):
     """(mdr(f), basis vector 0 of AR(image)_mdr or None): where a curve's
     scan starts.  Off the arrangement route the Koszul syzygy seeds it
     (``mdr``); on it, a point of highest multiplicity m at u = d - m,
-    ranked at u-1 first unless ``_top_first`` excludes mdr = u.  Given
-    ``image`` (f in the first field, from ``_admit``) and 2m >= d, the
-    trichotomy leaves one mdr: r0 = min(m-1, d-m) if tau = phi1(d, r0), else
-    u.  ``_proved_mdr`` takes the certificate's nullspace there first, and
-    returns the certificate when it proves that mdr."""
+    ranked at u-1 first unless tau exceeds the du Plessis-Wall bound at u,
+    which excludes mdr = u.  Given ``image`` (f in the first field, from
+    ``_admit``) and 2m >= d, the trichotomy leaves one mdr:
+    r0 = min(m-1, d-m) if tau = phi1(d, r0), else u.  ``_proved_mdr`` takes
+    the certificate's nullspace there first, and returns the certificate
+    when it proves that mdr."""
     route = _route(f)
     if route is None:
         return mdr(f, backend), None
     u, build, tau = route
     d = f.degree
     m = d - u
-    top = _top_first(d, u, tau)
+    top = tau <= dpw_bounds(d, u)[0]
     if image is None or 2 * m < d:
         return _mdr_scan(f, u, build, backend, top), None
     r0 = min(m - 1, u)
@@ -364,21 +359,21 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     return _report(f, image, r, backend, certificate)
 
 
-def _trichotomy(f: HomogPoly, u: int, build,
-                backend: Backend | None = None, top: bool = False):
-    """The paper's case split for f with an explicit syzygy of degree u
-    (``build()`` returns it over f's field, for ``_mdr_scan``; ``top`` when
-    it is the syzygy of a point of highest multiplicity of f's arrangement,
-    whose scan ranks AR_{u-1} first unless ``_top_first`` excludes mdr = u):
-    mdr = u
+def _trichotomy(f: HomogPoly, u: int, backend: Backend | None = None,
+                build=None):
+    """The paper's case split for f with a syzygy of degree u: mdr = u
     ("generic"), or mdr = d-1-u and f free with exponents (d-1-u, u)
-    ("free"), or d-u <= mdr <= u-1 ("middle").  Returns (case, mdr, the
-    range the case allows for mdr, the ``classify`` report of the free
-    case, made at this r without a second scan, or None); any other outcome
-    raises InconsistencyError."""
+    ("free"), or d-u <= mdr <= u-1 ("middle").  Without ``build`` the mdr
+    is f's own (``_seeded_mdr``, the one ``classify`` finds: for a point of
+    an arrangement, u = d - m >= d - m_max); a pencil theorem passes its
+    seed, ``build()`` returning that syzygy over f's field, and the mdr is
+    scanned below u (``_mdr_scan``).  Returns (case, mdr, the range the case
+    allows for mdr, the ``classify`` report of the free case, made at this
+    r without a second scan, or None); any other outcome raises
+    InconsistencyError."""
     d = f.degree
-    r = _mdr_scan(f, u, build, backend,
-                  top and _top_first(d, u, _route(f)[2]))
+    r = (_seeded_mdr(f, backend)[0] if build is None
+         else _mdr_scan(f, u, build, backend))
     if r == u:
         return "generic", r, (u, u), None
     if r >= d - u:

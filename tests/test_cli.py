@@ -57,6 +57,29 @@ def test_arrangement_file_input(capsys, tmp_path):
     assert code == 0 and "free" in out
 
 
+def test_polynomial_file_input(capsys, tmp_path):
+    # a file that is no arrangement is read as a polynomial
+    path = tmp_path / "curve.txt"
+    path.write_text("x*y*z\n")
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and json.loads(out)["tau"] == 3
+
+
+def test_unreadable_and_malformed_files_exit_1(capsys, tmp_path):
+    for argv in (["analyze"], ["arrangement", "lattice"],
+                 ["pencil", "syzygy"]):
+        code, out, err = run(capsys, *argv, str(tmp_path))  # a directory
+        assert code == 1 and out == "" and err.startswith("input error")
+    path = tmp_path / "bad.txt"
+    path.write_text("1 2\n")
+    for argv, message in (
+            (["analyze"], "cannot parse input"),
+            (["arrangement", "lattice"], "line 1: expected three rationals"),
+            (["pencil", "syzygy"], "cannot parse pencil spec")):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == "" and message in err
+
+
 def test_one_line_arrangement(capsys, tmp_path):
     path = tmp_path / "line.txt"
     path.write_text("1 2 3\n")
@@ -152,6 +175,19 @@ def test_suite_filter(capsys):
     code, out, _ = run(capsys, "suite", "--filter", "1-ex1")
     assert code == 0
     assert out.count("PASS") == 1 and "1/1 criteria passed" in out
+
+
+def test_suite_json_stdout_is_one_stable_document(capsys):
+    # the PASS table and the count line go to stderr, and no wall time
+    # reaches stdout
+    code, out, err = run(capsys, "suite", "--filter", "1-ex1", "--json")
+    assert code == 0
+    assert err.count("PASS") == 1 and "1/1 criteria passed" in err
+    data = json.loads(out)
+    assert [(r["name"], r["passed"]) for r in data] == [("1-ex1", True)]
+    assert "seconds" not in out
+    _, again, _ = run(capsys, "suite", "--filter", "1-ex1", "--json")
+    assert again == out
 
 
 def test_suite_bad_filter(capsys):

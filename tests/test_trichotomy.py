@@ -564,3 +564,65 @@ def _assert_a_later_field_refuses_the_seed(later, top):
         _mdr_scan(f, 2, seed, BACKEND, top)
     assert _mdr_scan(f, 2, seed, make_backend(primes=primes[:later]),
                      top) == 2
+
+
+# -- one mdr per arrangement ----------------------------------------------------
+#
+# ``trichotomy`` takes the arrangement's mdr where ``classify`` and
+# ``multiplicity_bound_check`` take it (``tjurina._seeded_mdr``): seeded by a
+# point of highest multiplicity at every lattice point, so that the first
+# field ranks the same degrees for every point as for the bound check.
+
+def _first_ranks_per_call(mp, A, backend):
+    seen = _ranks_by_field(mp)
+    first = fields_for(A.f, backend)[0]
+
+    def ranks(fn):
+        seen.clear()
+        fn()
+        return seen.get(first, [])
+    return ranks
+
+
+def _assert_one_mdr(A, backend):
+    with pytest.MonkeyPatch.context() as mp:
+        ranks = _first_ranks_per_call(mp, A, backend)
+        bound = ranks(lambda: multiplicity_bound_check(A, backend))
+        for p in A.lattice().points:
+            assert ranks(lambda: trichotomy(A, p, backend)) == bound, p.point
+
+
+@pytest.mark.parametrize("name", ARRANGEMENTS)
+def test_every_point_ranks_as_the_bound_check(name):
+    _assert_one_mdr(get_fixture(name).arrangement, BACKEND)
+
+
+@settings(max_examples=20, deadline=None)
+@given(covectors, st.sampled_from([QQ, PrimeField(1000003)]))
+def test_every_point_of_a_random_arrangement_ranks_as_the_bound_check(
+        covs, field):
+    try:
+        A = LineArrangement(field, covs)
+    except ValueError:  # repeated line
+        return
+    _assert_one_mdr(A, BACKEND if field == QQ else None)
+
+
+def test_a_double_point_takes_the_top_point_check(monkeypatch):
+    # one triple point, twelve double points, mdr = d - m_max = 3: at a
+    # double point (u = 4) one rank at 2 per field and the top point's seed
+    # prove mdr = 3; the double point's own syzygy is never built
+    A = LineArrangement(QQ, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1),
+                             (1, 2, 5), (1, -3, 7)])
+    top, double = A.lattice().points[0], A.lattice().points[-1]
+    built = []
+    real = arrangements._point_triple
+
+    def counting(A, p):
+        built.append(p.point)
+        return real(A, p)
+    monkeypatch.setattr(arrangements, "_point_triple", counting)
+    seen = _ranks_by_field(monkeypatch)
+    assert _out(trichotomy(A, double, BACKEND)) == (2, 3, 2, 6, None)
+    assert seen == {F: [2] for F in fields_for(A.f, BACKEND)}
+    assert built == [top.point]  # built once over Q, not the double point's
