@@ -4,18 +4,21 @@ The term order is graded lexicographic with x > y > z, fixed globally, so
 printed certificates are byte-stable.
 
 Every product, and every sum of products u_1*v_1 + ... + u_n*v_n, is one
-``dot``; the field picks one of two arithmetics.  Over GF(p), p < 2^31, it
-is one int64 numpy pass (``_dot_int64``) on the (j, k) grid of exponents of
-y and z: all term pairs at once, each product of two residues (below 2^62)
+``dot``.  A sparse product, whose grid (below) would hold more than
+``_SPARSE_RATIO`` cells per term pair, such as x^2000 * y, is formed pair
+by pair (``_dot_terms``): its cost follows its terms, not the degree.  For
+the others the field picks the arithmetic.  Over GF(p), p < 2^31, it is
+one int64 numpy pass (``_dot_int64``) on the (j, k) grid of exponents of y
+and z: all term pairs at once, each product of two residues (below 2^62)
 reduced below p, one scatter-add into the grid, one final ``% p``.  A grid
 cell receives fewer than 2^31 reduced terms, so every sum stays below 2^62
 and the pass is exact.  Over Q each product clears denominators and
 multiplies Python ints (``_mul_rational``).  A polynomial computes its
 gradient once and keeps it; nothing changes ``coeffs`` after construction.
-The parser too multiplies by one ``dot`` per degree.  The one exception is
-``restrict_binary`` (for ``is_reduced``), which multiplies binary forms term
-by term: over GF(1000003) at degree 12, ``substitute`` took 1.04 against
-0.18 ms on a sparse form and ``UniPoly`` 2.70 against 1.63 ms on a dense one.
+The one product outside ``dot`` is ``restrict_binary`` (for ``is_reduced``),
+which multiplies binary forms term by term: over GF(1000003) at degree 12,
+``substitute`` took 1.04 against 0.18 ms on a sparse form and ``UniPoly``
+2.70 against 1.63 ms on a dense one.
 
 The product that ``LineArrangement.f`` returns also records its arrangement
 (``_arrangement``), so that ``classify`` can take the paper's route for it.
@@ -50,6 +53,7 @@ VARS = ("x", "y", "z")
 
 # Term pairs ``_dot_int64`` holds at a time; bounds its temporaries.
 _PAIR_CHUNK = 1 << 14
+_SPARSE_RATIO = 8  # grid cells per term pair above which ``dot`` is sparse
 
 
 class HomogeneityError(ValueError):
@@ -240,14 +244,11 @@ class HomogPoly:
         F = self.field
         pt = [F.coerce(v) for v in point]
         acc = F.zero()
-        for (i, j, k), c in self.coeffs.items():
+        for exp, c in self.coeffs.items():
             t = c
-            for _ in range(i):
-                t = F.mul(t, pt[0])
-            for _ in range(j):
-                t = F.mul(t, pt[1])
-            for _ in range(k):
-                t = F.mul(t, pt[2])
+            for v, n in zip(pt, exp):
+                for _ in range(n):
+                    t = F.mul(t, v)
             acc = F.add(acc, t)
         return acc
 
@@ -259,10 +260,7 @@ class HomogPoly:
             return self
         rows = [HomogPoly.linear(F, [F.coerce(v) for v in row]) for row in matrix]
         # cache powers of the three linear forms
-        max_e = [0, 0, 0]
-        for e in self.coeffs:
-            for i in range(3):
-                max_e[i] = max(max_e[i], e[i])
+        max_e = [max(e[i] for e in self.coeffs) for i in range(3)]
         powers = [[HomogPoly.constant(F, 1)] for _ in range(3)]
         for i in range(3):
             for _ in range(max_e[i]):
@@ -292,16 +290,11 @@ class HomogPoly:
 
         lin = [[pb[i], pa[i]] for i in range(3)]  # r*B_i + s*A_i, index = s-degree
         # powers cache
-        max_e = [0, 0, 0]
-        for e in self.coeffs:
-            for i in range(3):
-                max_e[i] = max(max_e[i], e[i])
-        pows = []
+        max_e = [max(e[i] for e in self.coeffs) for i in range(3)]
+        pows = [[[F.one()]] for _ in range(3)]
         for i in range(3):
-            ps = [[F.one()]]
             for _ in range(max_e[i]):
-                ps.append(bin_mul(ps[-1], lin[i]))
-            pows.append(ps)
+                pows[i].append(bin_mul(pows[i][-1], lin[i]))
         total = [F.zero()] * (d + 1)
         for (i, j, k), c in self.coeffs.items():
             term = bin_mul(bin_mul(pows[0][i], pows[1][j]), pows[2][k])
@@ -444,7 +437,8 @@ def _mul_rational(a: HomogPoly, b: HomogPoly) -> HomogPoly:
 def dot(us, vs) -> HomogPoly:
     """u_1*v_1 + ... + u_n*v_n for forms over one field, whose nonzero
     products all have one degree (HomogeneityError otherwise): the int64
-    grid over GF(p), ``_mul_rational`` per pair and their sum over Q."""
+    grid over GF(p), ``_mul_rational`` per pair and their sum over Q, or
+    ``_dot_terms`` for a sparse product."""
     F = us[0].field
     pairs = []
     for u, v in zip(us, vs, strict=True):
@@ -457,6 +451,9 @@ def dot(us, vs) -> HomogPoly:
     D, *other = {u.degree + v.degree for u, v in pairs}
     if other:
         raise HomogeneityError(D, other[0])
+    if (sum(len(u.coeffs) * len(v.coeffs) for u, v in pairs)
+            * _SPARSE_RATIO < (D + 1) ** 2):
+        return _dot_terms(F, D, pairs)
     if F.char:
         return _dot_int64(F, D, pairs)
     return sum((_mul_rational(u, v) for u, v in pairs), HomogPoly.zero(F))
@@ -494,6 +491,20 @@ def _dot_int64(F: Field, D: int, pairs) -> HomogPoly:
     return HomogPoly._trusted(F, D, {
         mons[i]: c for i, c in zip((s * (s + 1) // 2 + k).tolist(),
                                    grid[nonzero].tolist())})
+
+
+def _dot_terms(F: Field, D: int, pairs) -> HomogPoly:
+    """``dot`` term pair by term pair, keyed by new exponent tuples rather
+    than grid cells or ``monomials(D)``: for a sparse product."""
+    out = {}
+    for u, v in pairs:
+        for (x1, y1, z1), c1 in u.coeffs.items():
+            for (x2, y2, z2), c2 in v.coeffs.items():
+                e = (x1 + x2, y1 + y2, z1 + z2)
+                out[e] = out.get(e, 0) + c1 * c2
+    if F.char:
+        out = {e: c % F.char for e, c in out.items()}
+    return HomogPoly._trusted(F, D, {e: c for e, c in out.items() if c})
 
 
 def _cells(u: HomogPoly, n: int):
@@ -571,10 +582,10 @@ class _Parser:
         while self.peek() == "^":
             self.pos += 1
             e = self.integer()
-            out = _table(HomogPoly.constant(self.field, 1))
+            out = None if e else _table(HomogPoly.constant(self.field, 1))
             while e:
                 if e & 1:
-                    out = _product(out, base)
+                    out = base if out is None else _product(out, base)
                 e >>= 1
                 if e:
                     base = _product(base, base)
@@ -639,8 +650,7 @@ def _product(a: dict, b: dict) -> dict:
     """a * b: one ``dot`` per output degree."""
     out = {}
     for D in {i + j for i in a for j in b}:
-        us = [u for i, u in a.items() if D - i in b]
-        vs = [b[D - i] for i in a if D - i in b]
+        us, vs = zip(*[(u, b[D - i]) for i, u in a.items() if D - i in b])
         out.update(_table(dot(us, vs)))
     return out
 

@@ -9,6 +9,7 @@ prime of 2^31 or more is refused; where a test is parametrized with one,
 the refusal is what it checks."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -307,6 +308,55 @@ def test_dot_across_chunk_boundaries(field):
         with mock.patch.object(poly_module, "_PAIR_CHUNK", chunk):
             assert dot(us, vs) == whole
             assert us[0] * vs[0] == _mul_terms(us[0], vs[0])
+
+
+def sparse_form(rng, field, degree, terms):
+    """A form of degree ``degree`` with at most ``terms`` random terms,
+    drawn without listing the monomials of that degree."""
+    coeffs = {}
+    for _ in range(terms):
+        i = rng.randint(0, degree)
+        j = rng.randint(0, degree - i)
+        coeffs[(i, j, degree - i - j)] = field.coerce(Fraction(
+            rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 4)))
+    return HomogPoly(field, degree, coeffs)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_sparse_and_grid_products_agree(field):
+    # _SPARSE_RATIO 0 makes every product sparse, 10**9 none
+    if refused(field):
+        return
+    rng = random.Random(f"sparse:{field}")
+    cases = [([random_form(rng, field, 3, density=1.0)],
+              [random_form(rng, field, 4)]),
+             ([sparse_form(rng, field, 40, 3), sparse_form(rng, field, 40, 2)],
+              [sparse_form(rng, field, 25, 4), sparse_form(rng, field, 25, 1)]),
+             ([poly_parse("x - y", field)], [poly_parse("x + y", field)])]
+    for us, vs in cases:
+        expected = term_sum(us, vs)
+        for ratio in (0, 8, 10**9):
+            with mock.patch.object(poly_module, "_SPARSE_RATIO", ratio):
+                assert dot(us, vs) == expected
+                assert us[0] * vs[0] == _mul_terms(us[0], vs[0])
+
+
+@pytest.mark.parametrize("field", INT64_FIELDS + [QQ], ids=str)
+def test_a_sparse_product_of_high_degree_costs_its_terms(monkeypatch, field):
+    # the grid of degree 100000 would hold 10^10 cells, monomials(100000)
+    # 5 * 10^9 tuples
+    rng = random.Random(f"high:{field}")
+    us = [sparse_form(rng, field, 50000, 3), sparse_form(rng, field, 40000, 2)]
+    vs = [sparse_form(rng, field, 50000, 4), sparse_form(rng, field, 60000, 3)]
+    kernel = spy(monkeypatch, "_dot_int64")
+    tracemalloc.start()
+    try:
+        product = dot(us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product == term_sum(us, vs) and product.degree == 100000
+    assert not kernel and peak < 1 << 20
 
 
 # verify_syzygy and diff against the references they replace ----------------

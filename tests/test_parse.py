@@ -8,6 +8,7 @@ polynomial, or the same error: the same ``ParseError`` position, the same
 ``HomogeneityError`` degrees.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -224,8 +225,25 @@ def test_generated_expressions_match_the_reference(text, field):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.text("xyz012+-−*/^() w", max_size=5), st.sampled_from(FIELDS))
+@given(st.text("xyz012+-−*/^() w", max_size=8), st.sampled_from(FIELDS))
 def test_arbitrary_text_matches_the_reference(text, field):
-    # short texts with small digits keep every degree at most 222: ``dot``
-    # spends time and memory quadratic in the degree, however sparse
+    # eight characters reach x^222222 and dense powers such as (x+y)^22
     _assert_same(text, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("text, terms", [
+    ("x^99999", {(99999, 0, 0): 1}),
+    ("x^2000*y + z^2001", {(2000, 1, 0): 1, (0, 0, 2001): 1}),
+])
+def test_a_sparse_text_of_high_degree_parses_in_little_memory(text, terms,
+                                                              field):
+    # a grid or a monomial list of that degree would take gigabytes
+    tracemalloc.start()
+    try:
+        parsed = poly_parse(text, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == HomogPoly(field, sum(next(iter(terms))), terms)
+    assert peak < 1 << 20
