@@ -16,9 +16,10 @@ is the same: if every check passes, every field would have answered the
 first field's answer; if one fails, ``fn`` runs in every other field too,
 in order, as without a check, so a disagreement or an error raised in a
 field is reported exactly as it would be without one.  The caller may also
-hand in the first field's answer, when it has proved that ``fn`` would
-return it there (``syzygy._proved_mdr``); the vote then goes on as if
-``fn`` had returned it.
+hand in the first field's answer (``first``), when it has computed what
+``fn`` would return there; the vote then goes on as if ``fn`` had returned
+it.  That is how every seeded mdr search (``syzygy._mdr_scan``) hands in
+its first field, where it tests the predicted mdr its own way.
 
 Pencil member invariants vote too, over two primes that split the
 discriminant roots (``pencils._split_members``), under the same rule: every

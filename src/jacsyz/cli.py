@@ -336,7 +336,8 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ParseError, KeyError, OSError, ValueError) as exc:
+    except (InputError, ParseError, KeyError, OSError, ValueError,
+            MemoryError) as exc:  # an input too large to compute with
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

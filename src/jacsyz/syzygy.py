@@ -12,25 +12,20 @@ matrix is int64, for ``rank_mod_np`` and ``nullspace_mod_np``; over Q the
 same scatter fills an object array of Fractions, which ``ExactMatrix``
 eliminates with the same kernel.
 
-``_mdr_scan`` is the one mdr scan: given an explicit syzygy of degree u (the
-Koszul syzygy for ``mdr``, a paper's syzygy for the trichotomies) it ranks
-AR_r only for r < u, since AR_r != 0 implies AR_{r+1} != 0.  The scan runs
-upward from r = 0, except for the syzygy of a point of highest multiplicity
-m_max of a line arrangement, where mdr = u = d - m_max is the common answer
-unless tau exceeds the du Plessis-Wall bound at u: there it ranks AR_{u-1}
-first, so that one rank and the seed prove mdr = u, and scans r = 0 .. u-2
-only if AR_{u-1} != 0.  Under the modular backend only the first voting
-prime scans; each other prime checks that answer with at most two ranks (at
-r-1 and r) or one rank and the seed, and scans only if the check fails.
-
-``_proved_mdr`` replaces the first prime's scan where ``classify`` predicts
-the mdr (an arrangement whose top multiplicity m has 2m >= d): the
-certificate's nullspace at the prediction proves it, and the other primes
-check it as above.
+``_mdr_scan`` is the one mdr search: given an explicit syzygy of degree u
+(the Koszul syzygy for ``mdr``, a top point's syzygy on the arrangement
+route, a paper's syzygy for the pencil theorems) it ranks AR_r only for
+r < u, since AR_r != 0 implies AR_{r+1} != 0.  It tests one predicted mdr
+first, when the caller has one (``tjurina._seeded_mdr``), and scans upward
+only where the test leaves the answer open.  In the first voting field the
+test is the certificate's nullspace at the prediction when the caller
+wants a certificate, else at most two ranks (at r-1 and r) or one rank and
+the seed; each other field checks the first field's answer the same way
+(``Backend.vote`` with ``first``) and searches only if the check fails.
 
 ``ar_slice`` converts and re-verifies every basis triple of AR_r;
 ``classify`` reports only basis vector 0, and ``_first_syzygy`` and
-``_proved_mdr`` convert and re-verify only that one.
+``_mdr_scan`` convert and re-verify only that one.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .backend import Backend, compute
+from .backend import Backend, compute, fields_for
 from .fields import Field, QQ
 from .linalg import ExactMatrix, nullspace_mod_np, rank_mod_np
 from .poly import HomogPoly, dot, homog_gcd, monomial_count, monomials
@@ -242,9 +237,38 @@ def _primitive(s: SyzygyTriple) -> SyzygyTriple:
                         s.f_degree)
 
 
-def _seeded_scan(f: HomogPoly, u: int, build, top: bool):
-    """(seeded, scan, check) of ``_mdr_scan`` for f and its seed, which is
-    built at most once and shared by every field."""
+def _mdr_scan(f: HomogPoly, u: int, build, backend: Backend | None = None,
+              guess: int | None = None, image: HomogPoly | None = None):
+    """(mdr(f), basis vector 0 of AR(image)_mdr or None), given a seed: a
+    syzygy of degree u that ``build()`` returns over f's field, built at
+    most once and made primitive over Q.  No rank at u or above is taken:
+    mdr = u once the seed is mapped into the computing field and verified
+    there (ArithmeticError if it is zero, of another degree or no syzygy).
+
+    Since x * (a, b, c) is a nonzero syzygy of degree s + 1 whenever
+    (a, b, c) is one of degree s, AR_{r-1} = 0 gives AR_s = 0 for every
+    s < r.  The search tests ``guess`` first and scans upward only where
+    the test leaves the answer open, ranking no degree twice:
+    AR_{guess-1} != 0 leaves 0 .. guess-2 (else the answer is guess-1);
+    AR_{guess-1} = 0 and AR_guess != 0 (the seed, at guess = u) prove
+    guess; AR_guess = 0 leaves guess+1 .. u-1.  Without a guess it scans
+    0 .. u-1.
+
+    In the first field of ``compute`` (``image``, when given, is f there)
+    the guess is tested by the certificate's nullspace of AR(image)_guess.
+    A nonzero one proves mdr = guess when guess = 0, or dim AR_guess <= 2,
+    or one rank shows AR_{guess-1} = 0, and at guess = u the seed is
+    verified too; it is then the certificate.  dim AR_guess <= 2 gives
+    AR_{guess-1} = 0: a nonzero rho' there puts x*rho', y*rho', z*rho' in
+    AR_guess, and they are independent, since (a*x + b*y + c*z) * rho' = 0
+    forces a = b = c = 0.  Without ``image`` the guess is tested by ranks,
+    as ``check`` tests an answer.
+
+    ``check(g, r)``, AR_{r-1} = 0 and then AR_r != 0 (r < u) or the seed
+    verified in g's field (r = u), passes iff the search in g answers r.
+    Every voting field after the first checks the first field's answer
+    instead of searching (``Backend.vote`` with ``first``), and searches
+    only if the check fails."""
     seed = lru_cache(maxsize=None)(
         lambda: _primitive(build()) if f.field == QQ else build())
 
@@ -253,81 +277,46 @@ def _seeded_scan(f: HomogPoly, u: int, build, top: bool):
                          g.degree)
         return not s.is_zero() and s.degree == u and verify_syzygy(g, s)
 
-    def scan(g: HomogPoly) -> int:
-        if top and u > 0:
-            # AR_{u-1} = 0 leaves only the seed to verify
-            if ar_dimension(g, u - 1) > 0:
-                return next((r for r in range(u - 1)
-                             if ar_dimension(g, r) > 0), u - 1)
-        else:
-            for r in range(u):
-                if ar_dimension(g, r) > 0:
-                    return r
-        if not seeded(g):
+    def scan(g: HomogPoly, lo: int = 0, hi: int = u) -> int:
+        # AR_r = 0 for r < lo, and AR_hi != 0 when hi < u
+        r = next((r for r in range(lo, hi) if ar_dimension(g, r) > 0), hi)
+        if r == u and not seeded(g):
             raise ArithmeticError(
                 f"the degree-{u} seed syzygy fails in {g.field.tag}")
-        return u
+        return r
+
+    def search(g: HomogPoly) -> int:
+        if guess is None:
+            return scan(g)
+        if guess > 0 and ar_dimension(g, guess - 1) > 0:
+            return scan(g, 0, guess - 1)
+        if guess < u and ar_dimension(g, guess) == 0:
+            return scan(g, guess + 1)
+        return scan(g, guess, guess)
 
     def check(g: HomogPoly, r: int) -> bool:
         if r > 0 and ar_dimension(g, r - 1) > 0:
             return False
         return ar_dimension(g, r) > 0 if r < u else seeded(g)
 
-    return seeded, scan, check
-
-
-def _mdr_scan(f: HomogPoly, u: int, build,
-              backend: Backend | None = None, top: bool = False) -> int:
-    """mdr(f) given a seed: a syzygy of degree u that ``build()`` returns
-    over f's field.  In the first field of ``compute``: the first r < u with
-    AR_r != 0, else u, once the seed (built at most once, made primitive
-    over Q) is mapped into that field and verified there; ArithmeticError
-    if it is zero, of another degree or no syzygy.  No rank at u or above
-    is taken.
-
-    Since x * (a, b, c) is a nonzero syzygy of degree s + 1 whenever
-    (a, b, c) is one of degree s, AR_{r-1} = 0 gives AR_s = 0 for every
-    s < r.  So ``check(g, r)``, AR_{r-1} = 0 and then AR_r != 0 (r < u) or
-    the seed verified in g's field (r = u), passes iff the scan of g
-    answers r; both of its ranks are ranks that scan takes too.  Every
-    voting field after the first checks the first field's answer instead
-    of scanning, and scans only if the check fails.
-
-    The scan ranks upward from r = 0, unless ``top`` says that the seed is
-    the syzygy of a point of highest multiplicity and mdr = u is not
-    excluded.  Then mdr = u is the likely answer, and the scan ranks
-    AR_{u-1} first: if it is 0, only the seed is left to verify, as in
-    ``check(g, u)``; otherwise it scans r = 0 .. u-2 and answers u-1 if
-    none of them has a syzygy.  ``tjurina._seeded_mdr`` decides ``top``;
-    an arrangement's mdr is never scanned from a lower point's seed."""
-    _, scan, check = _seeded_scan(f, u, build, top)
-    return compute(scan, f, backend, what="mdr", check=check)
-
-
-def _proved_mdr(f: HomogPoly, image: HomogPoly, r: int, u: int, build,
-                backend: Backend | None, top: bool):
-    """(mdr(f), basis vector 0 of AR(image)_mdr or None), given a predicted
-    mdr r <= u, the seed of ``_mdr_scan`` and ``image``, f in the first
-    field of ``compute``.
-
-    The certificate's nullspace of AR(image)_r is taken first.  It proves
-    mdr(image) = r when it is nonzero and r = 0, or dim AR_r <= 2, or one
-    rank shows AR_{r-1} = 0: by the monotonicity in ``_mdr_scan`` nothing
-    lies below r.  And dim AR_r <= 2 gives AR_{r-1} = 0: a nonzero rho' in
-    AR_{r-1} puts x*rho', y*rho', z*rho' in AR_r, and they are independent,
-    since (a*x + b*y + c*z) * rho' = 0 forces a = b = c = 0.  At r = u the
-    seed is verified in the first field too, as the scan would.  A proved r
-    is the first field's answer of ``_mdr_scan``'s vote, which the other
-    fields check as usual, and the certificate comes with it; otherwise
-    this is ``_mdr_scan`` (with ``top``) and the certificate None."""
-    seeded, scan, check = _seeded_scan(f, u, build, top)
-    vecs = _slice_nullspace(image, r)
-    if (vecs and (r == 0 or len(vecs) <= 2 or ar_dimension(image, r - 1) == 0)
-            and (r < u or seeded(image))):
-        return (compute(scan, f, backend, what="mdr", check=check, first=r),
-                _reverified(image, _vector_to_triple(image.field, vecs[0], r,
-                                                     image.degree)))
-    return compute(scan, f, backend, what="mdr", check=check), None
+    certificate = None
+    if image is None or guess is None:
+        F = fields_for(f, backend)[0]
+        first = search(image if image is not None
+                       else f if F == f.field else f.map_field(F))
+    else:
+        vecs = _slice_nullspace(image, guess)
+        if not vecs:
+            first = scan(image, guess + 1)
+        elif (guess == 0 or len(vecs) <= 2
+              or ar_dimension(image, guess - 1) == 0):
+            first = scan(image, guess, guess)
+            certificate = _reverified(image, _vector_to_triple(
+                image.field, vecs[0], guess, image.degree))
+        else:
+            first = scan(image, 0, guess - 1)
+    return (compute(search, f, backend, what="mdr", check=check, first=first),
+            certificate)
 
 
 def mdr(f: HomogPoly, backend: Backend | None = None) -> int:
@@ -335,7 +324,7 @@ def mdr(f: HomogPoly, backend: Backend | None = None) -> int:
     early exit below d-1, where the Koszul syzygy certifies the answer."""
     if f.degree < 1:
         raise ValueError("f must have positive degree")
-    return _mdr_scan(f, f.degree - 1, lambda: _koszul(f), backend)
+    return _mdr_scan(f, f.degree - 1, lambda: _koszul(f), backend)[0]
 
 
 def is_cone(f: HomogPoly, backend: Backend | None = None) -> bool:

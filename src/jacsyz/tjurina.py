@@ -17,15 +17,16 @@ one of three routes:
   or p > d >= m).  No Milnor-algebra rank is taken.  The point syzygy of a
   point of highest multiplicity m, of degree u = d - m, seeds the mdr
   (voted like every mdr), which the paper's trichotomy confines: mdr = u,
-  or mdr = m-1 and f free, or m <= mdr <= u-1.
-  - When 2m >= d the middle range is empty, and phi1(d, r) = phi1(d, d-1-r)
-    leaves one mdr: r0 = min(m-1, u) if tau = phi1(d, r0), else u.  In the
-    first voting field the certificate's nullspace at that mdr proves it
-    (``syzygy._proved_mdr``: dim AR_r <= 2, or one rank at r-1), and the
-    other fields check it.  An unproved prediction falls back to the scan.
-  - Otherwise ``_mdr_scan`` scans below u.  It ranks AR_{u-1} first, since
-    mdr = u is the common case, unless tau exceeds the du Plessis-Wall
-    bound at u, which excludes mdr = u: then it ranks upward from 0.
+  or mdr = m-1 and f free, or m <= mdr <= u-1.  With the du Plessis-Wall
+  bounds, tau predicts one mdr for any m: r0 = min(m-1, u) if
+  tau = phi1(d, r0) (the du Plessis-Wall bound is strictly decreasing in
+  r, so no mdr above r0 allows that tau, and the trichotomy allows none
+  below); else u, unless tau exceeds the bound at u, which excludes
+  mdr = u and leaves no prediction (the middle range).
+  ``syzygy._mdr_scan`` tests the prediction first, in the first voting
+  field of ``classify`` by the certificate's nullspace there
+  (dim AR_r <= 2, or one rank at r-1), and scans upward only if the test
+  fails.
 - Rank.  Every other curve gets mdr from the scan seeded by the Koszul
   syzygy at d-1 (``mdr``, the checked vote: only the first voting prime
   scans), and its verdict at that mdr is voted in every field.  For
@@ -60,15 +61,15 @@ one of three routes:
 
 The certificate is the first basis vector of AR(f)_r in the first computing
 field on every route, computed once outside the vote (or by the nullspace
-that proved the mdr), so a curve gets the same report whichever route
-decides it.  It is the one verified vector of a classification: of that
+that tested the predicted mdr), so a curve gets the same report whichever
+route decides it.  It is the one verified vector of a classification: of that
 nullspace only basis vector 0 is converted to a triple and re-verified
 (``ar_slice`` still returns the whole verified basis).
 
-``_seeded_mdr`` is the one place that picks a curve's seed, applies the du
-Plessis-Wall rule above and predicts its mdr, for ``classify``,
-``multiplicity_bound_check`` and ``trichotomy`` at every lattice point (the
-last two need no certificate, so they scan); ``_report`` reports at a given,
+``_seeded_mdr`` is the one place that picks a curve's seed and predicts its
+mdr by the rule above, for ``classify``, ``multiplicity_bound_check`` and
+``trichotomy`` at every lattice point (the last two need no certificate, so
+they test the prediction by ranks); ``_report`` reports at a given,
 already voted mdr.  ``_trichotomy`` splits the paper's cases at that mdr (a
 pencil theorem scans below its own seed instead) and reports the free case
 at it without a second scan.
@@ -94,9 +95,8 @@ from math import comb
 from .backend import Backend, compute, describe, fields_for
 from .linalg import rank_mod_np
 from .poly import HomogPoly, is_reduced, monomial_count
-from .syzygy import (SyzygyTriple, _first_syzygy, _mdr_scan, _proved_mdr,
-                     ar_dimension, ar_slice, graded_multiplication_matrix,
-                     mdr)
+from .syzygy import (SyzygyTriple, _first_syzygy, _mdr_scan, ar_dimension,
+                     ar_slice, graded_multiplication_matrix, mdr)
 
 __all__ = [
     "MilnorProfile",
@@ -281,27 +281,23 @@ def _route(f: HomogPoly):
 
 def _seeded_mdr(f: HomogPoly, backend: Backend | None,
                 image: HomogPoly | None = None):
-    """(mdr(f), basis vector 0 of AR(image)_mdr or None): where a curve's
-    scan starts.  Off the arrangement route the Koszul syzygy seeds it
-    (``mdr``); on it, a point of highest multiplicity m at u = d - m,
-    ranked at u-1 first unless tau exceeds the du Plessis-Wall bound at u,
-    which excludes mdr = u.  Given ``image`` (f in the first field, from
-    ``_admit``) and 2m >= d, the trichotomy leaves one mdr:
-    r0 = min(m-1, d-m) if tau = phi1(d, r0), else u.  ``_proved_mdr`` takes
-    the certificate's nullspace there first, and returns the certificate
-    when it proves that mdr."""
+    """(mdr(f), basis vector 0 of AR(image)_mdr or None): a curve's seed
+    and predicted mdr.  Off the arrangement route the Koszul syzygy seeds
+    ``mdr``, with no prediction.  On it, a point of highest multiplicity m
+    seeds the search at u = d - m, and the prediction is
+    r0 = min(m-1, u) if tau = phi1(d, r0), else u unless tau exceeds the du
+    Plessis-Wall bound at u (see the module docstring).  Given ``image`` (f
+    in the first field, from ``_admit``) the certificate's nullspace tests
+    the prediction, and comes back when it proves it."""
     route = _route(f)
     if route is None:
         return mdr(f, backend), None
     u, build, tau = route
     d = f.degree
-    m = d - u
-    top = tau <= dpw_bounds(d, u)[0]
-    if image is None or 2 * m < d:
-        return _mdr_scan(f, u, build, backend, top), None
-    r0 = min(m - 1, u)
-    return _proved_mdr(f, image, r0 if tau == _phi1(d, r0) else u, u, build,
-                       backend, top)
+    r0 = min(d - u - 1, u)
+    guess = (r0 if tau == _phi1(d, r0)
+             else u if tau <= dpw_bounds(d, u)[0] else None)
+    return _mdr_scan(f, u, build, backend, guess, image)
 
 
 def _report(f: HomogPoly, image: HomogPoly, r: int,
@@ -348,12 +344,11 @@ def classify(f: HomogPoly, backend: Backend | None = None) -> FreenessReport:
     mdr is found once (``_seeded_mdr``) and the rest reported at it.  The
     product of a ``LineArrangement``'s lines takes the arrangement route:
     the combinatorial tau = sum (m_p - 1)^2, with no Milnor-algebra rank,
-    and mdr proved by the certificate's nullspace where the trichotomy
-    leaves one value (2 m_max >= d), else scanned below the degree
-    d - m_max of a point syzygy.  Any other polynomial, including the same
-    coefficients given as text, is decided free by one rank at d-1-mdr, and
-    otherwise by the Hilbert tau.  All routes give the same report; see the
-    module docstring."""
+    and the mdr that tau predicts tested first by the certificate's
+    nullspace, below the degree d - m_max of a point syzygy.  Any other
+    polynomial, including the same coefficients given as text, is decided
+    free by one rank at d-1-mdr, and otherwise by the Hilbert tau.  All
+    routes give the same report; see the module docstring."""
     image = _admit(f, backend)
     r, certificate = _seeded_mdr(f, backend, image)
     return _report(f, image, r, backend, certificate)
@@ -372,8 +367,8 @@ def _trichotomy(f: HomogPoly, u: int, backend: Backend | None = None,
     r without a second scan, or None); any other outcome raises
     InconsistencyError."""
     d = f.degree
-    r = (_seeded_mdr(f, backend)[0] if build is None
-         else _mdr_scan(f, u, build, backend))
+    r = (_seeded_mdr(f, backend) if build is None
+         else _mdr_scan(f, u, build, backend))[0]
     if r == u:
         return "generic", r, (u, u), None
     if r >= d - u:

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacsyz import cli
 from jacsyz.backend import make_backend
 from jacsyz.cli import main
 from jacsyz.fields import QQ
@@ -36,6 +37,16 @@ def test_analyze_fixture_json(capsys):
 def test_analyze_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "analyze", "x^2 +")
     assert code == 1 and "input error" in err
+
+
+def test_an_input_too_large_for_memory_exits_1(capsys, monkeypatch):
+    # numpy raises a subclass of MemoryError for a matrix it cannot allocate
+    def too_large(f, backend=None):
+        raise MemoryError("Unable to allocate 350. TiB")
+    monkeypatch.setattr(cli, "classify", too_large)
+    code, out, err = run(capsys, "analyze", "x^2000*y + z^2001")
+    assert (code, out) == (1, "")
+    assert err == "input error: Unable to allocate 350. TiB\n"
 
 
 def test_json_byte_stability(capsys):

@@ -23,8 +23,8 @@ from jacsyz.cli import main
 from jacsyz.fields import PrimeField, QQ
 from jacsyz.fixtures import fixture_names, get_fixture
 from jacsyz.poly import HomogPoly, homog_gcd, is_reduced, poly_parse
-from jacsyz.syzygy import (_koszul, _mdr_scan, _proved_mdr, ar_dimension,
-                           ar_slice, graded_multiplication_matrix, mdr)
+from jacsyz.syzygy import (_koszul, _mdr_scan, ar_dimension, ar_slice,
+                           graded_multiplication_matrix, mdr)
 from jacsyz.tjurina import NotReducedError, classify, global_tjurina
 
 _hilbert_profile = tjurina._profile
@@ -381,11 +381,11 @@ def route_report(A, backend=None):
 
 def scanned(f, backend=None):
     """``classify``'s report of an arrangement's f with mdr from
-    ``_mdr_scan``, seeded by a top point and ranked at u-1 first: the scan
-    that a proved mdr replaces."""
+    ``_mdr_scan``, seeded by a top point, guessing u and testing it by
+    ranks: the search that a certificate's nullspace replaces."""
     u, build, _ = f._arrangement._route()
     image = tjurina._admit(f, backend)
-    return tjurina._report(f, image, _mdr_scan(f, u, build, backend, True),
+    return tjurina._report(f, image, _mdr_scan(f, u, build, backend, u)[0],
                            backend)
 
 
@@ -676,8 +676,6 @@ def test_three_syzygies_at_d1_plus_1_are_no_proof(field, backend):
     image = f.map_field(fields_for(f, backend)[0])
     assert (ar_dimension(image, 2), ar_dimension(image, 1)) == (3, 1)
     build = lambda: _koszul(f)  # noqa: E731
-    assert _proved_mdr(f, image, 2, f.degree - 1, build, backend,
-                       False) == (1, None)
-    r, certificate = _proved_mdr(f, image, 1, f.degree - 1, build, backend,
-                                 False)
+    assert _mdr_scan(f, f.degree - 1, build, backend, 2, image) == (1, None)
+    r, certificate = _mdr_scan(f, f.degree - 1, build, backend, 1, image)
     assert r == 1 and certificate == ar_slice(image, 1).basis[0]

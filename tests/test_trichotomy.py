@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacsyz import arrangements, pencils, syzygy
 from jacsyz.arrangements import (LineArrangement, multiplicity_bound_check,
-                                 point_syzygy, trichotomy)
+                                 point_syzygy, tau_combinatorial, trichotomy)
 from jacsyz.backend import (BackendDisagreement, compute, fields_for,
                             make_backend)
 from jacsyz.fields import PrimeField, QQ
@@ -285,23 +285,23 @@ BAD_SEEDS = [
 
 @pytest.mark.parametrize("seed", BAD_SEEDS)
 def test_a_bad_seed_is_refused(seed):
-    _assert_a_bad_seed_is_refused(seed, top=False)
+    _assert_a_bad_seed_is_refused(seed, guess=None)
 
 
 @pytest.mark.parametrize("seed", BAD_SEEDS)
 def test_a_bad_top_seed_is_refused(seed):
-    _assert_a_bad_seed_is_refused(seed, top=True)
+    _assert_a_bad_seed_is_refused(seed, guess=2)
 
 
-def _assert_a_bad_seed_is_refused(seed, top):
+def _assert_a_bad_seed_is_refused(seed, guess):
     f = poly_parse("x^3 + y^3 + z^3")  # mdr 2: nothing below the seed
     with pytest.raises(ArithmeticError, match="seed syzygy fails in Q$"):
-        _mdr_scan(f, 2, _smooth_cubic_seed(seed), top=top)
+        _mdr_scan(f, 2, _smooth_cubic_seed(seed), guess=guess)
     with pytest.raises(ArithmeticError,
                        match=f"seed syzygy fails in Fp:{BACKEND.primes[0]}$"):
-        _mdr_scan(f, 2, _smooth_cubic_seed(seed), BACKEND, top)
+        _mdr_scan(f, 2, _smooth_cubic_seed(seed), BACKEND, guess)
     assert _mdr_scan(f, 2, _smooth_cubic_seed(("y^2", "-x^2", "0")),
-                     top=top) == 2
+                     guess=guess)[0] == 2
 
 
 def test_seed_with_a_voting_prime_in_a_denominator():
@@ -457,19 +457,21 @@ def test_the_free_case_of_thm11_scans_once(name, monkeypatch):
                                    2 * spec.pencil.k - 2)
 
 
-# (first-field ranks of multiplicity_bound_check, of classify).  The first
-# ranks AR_{u-1} first where mdr = u is not excluded (triangle, ex1); on
-# every other fixture tau exceeds the du Plessis-Wall bound at u = d - m_max
-# and it scans upward.  classify proves mdr from the certificate's
-# nullspace with no rank where 2m >= d (triangle, ex1, ex2a, ex12i:2, all
-# with dim AR_mdr <= 2) and scans elsewhere.
+# (first-field ranks of multiplicity_bound_check, of classify).  tau
+# predicts mdr = m_max - 1 where it equals phi1 there (ex2a, ex2b, ex12i:2,
+# ex12ix:3), which the first tests by ranks at mdr-1 and mdr, and
+# mdr = u = d - m_max where tau does not exceed the du Plessis-Wall bound
+# at u (triangle, ex1), tested by a rank at u-1 and the seed; elsewhere
+# (the middle range) nothing is predicted and it scans upward.  classify
+# tests a prediction by the certificate's nullspace, which proves it with
+# no rank on these fixtures (all with dim AR_mdr <= 2).
 ARRANGEMENT_FIRST_RANKS = {
     "triangle": ([0], []), "ex1": ([1], []),
-    "ex2a": ([0, 1, 2, 3], []), "ex2b": ([0, 1, 2, 3],) * 2,
+    "ex2a": ([2, 3], []), "ex2b": ([2, 3], []),
     "ex3": (list(range(10)),) * 2, "ex5": ([0, 1, 2, 3, 4],) * 2,
-    "ex12i:2": ([0, 1, 2], []), "ex12i:3": ([0, 1, 2, 3, 4],) * 2,
+    "ex12i:2": ([1, 2], []), "ex12i:3": ([0, 1, 2, 3, 4],) * 2,
     "ex12i:4": (list(range(6)),) * 2, "ex12i:5": (list(range(7)),) * 2,
-    "ex12ix:3": ([0, 1, 2, 3, 4],) * 2,
+    "ex12ix:3": ([3, 4], []),
 }
 
 
@@ -496,10 +498,11 @@ def _first_field_ranks(monkeypatch, fn, A):
 @pytest.mark.parametrize("name, u, r", [("ex1", 2, 2), ("ex2a", 4, 3),
                                         ("ex3", 13, 9)])
 def test_a_top_seed_ranks_its_degree_first(name, u, r, monkeypatch):
-    # a top seed ranks AR_{u-1} first (ex1) unless tau exceeds the du
-    # Plessis-Wall bound at u, which excludes mdr = u (ex2a, ex3): then it
-    # scans upward from 0; classify with 2m >= d (ex1, ex2a) proves mdr
-    # from its certificate's nullspace and takes no rank
+    # a top seed ranks AR_{u-1} first (ex1) unless tau predicts another
+    # mdr: m - 1 (ex2a, ranked at 2 and 3) or none, where tau exceeds the
+    # du Plessis-Wall bound at u (ex3): then it scans upward from 0;
+    # classify proves a predicted mdr (ex1, ex2a) from its certificate's
+    # nullspace and takes no rank
     A = get_fixture(name).arrangement
     top = A.lattice().points[0]
     assert (A.d - top.multiplicity, _reference_mdr(A.f, BACKEND)) == (u, r)
@@ -520,6 +523,40 @@ def test_a_lower_point_ranks_upward_from_zero(monkeypatch):
     ranks = _first_field_ranks(
         monkeypatch, lambda: trichotomy(A, low, BACKEND), A)
     assert ranks == list(range(10))
+
+
+# d = 8, m_max = 3 and tau = 33, the du Plessis-Wall bound at u = 5: tau
+# does not exclude mdr = u, so u is the prediction, but mdr = 4 (the middle
+# range).  Testing u costs classify the certificate's nullspace at 5 before
+# the ranks, one nullspace more than ranking first.
+MIDDLE = [(-2, -2, 2), (-2, -1, -1), (-2, -1, 2), (-2, 0, 1), (0, -2, -2),
+          (0, 1, 2), (0, 2, 1), (1, -1, -1)]
+
+
+def test_a_wrong_prediction_costs_classify_one_nullspace(monkeypatch):
+    A = LineArrangement(QQ, MIDDLE)
+    top = A.lattice().points[0]
+    assert (A.d, top.multiplicity, tau_combinatorial(A)) == (8, 3, 33)
+    assert _out(trichotomy(A, top, BACKEND)) == _reference_trichotomy(
+        A, top, BACKEND) == (2, 4, 3, 8, None)
+    assert multiplicity_bound_check(A, BACKEND)[1] == Fraction(2 * 8, 4 + 2)
+    first = fields_for(A.f, BACKEND)[0]
+    seen = []
+    for kind, name in (("rank", "ar_dimension"),
+                       ("nullspace", "_slice_nullspace")):
+        def spy(g, r, real=getattr(syzygy, name), kind=kind):
+            if g.field == first:
+                seen.append((kind, r))
+            return real(g, r)
+        monkeypatch.setattr(syzygy, name, spy)
+    ranks = [("rank", r) for r in (4, 0, 1, 2, 3)]
+    for fn in (multiplicity_bound_check, lambda A, b: trichotomy(A, top, b)):
+        seen.clear()
+        fn(A, BACKEND)
+        assert seen == ranks
+    seen.clear()
+    assert classify(A.f, BACKEND).mdr == _reference_mdr(A.f, BACKEND)
+    assert seen == [("nullspace", 5)] + ranks + [("nullspace", 4)]
 
 
 BAD = 1000003  # x + y + BAD*z meets x and y at one point mod BAD only
@@ -544,15 +581,15 @@ def test_a_bad_prime_in_any_position_gives_the_same_disagreement(position):
 
 @pytest.mark.parametrize("later", [1, 2])
 def test_a_seed_that_fails_only_in_a_later_field_is_refused(later):
-    _assert_a_later_field_refuses_the_seed(later, top=False)
+    _assert_a_later_field_refuses_the_seed(later, guess=None)
 
 
 @pytest.mark.parametrize("later", [1, 2])
 def test_a_top_seed_that_fails_only_in_a_later_field_is_refused(later):
-    _assert_a_later_field_refuses_the_seed(later, top=True)
+    _assert_a_later_field_refuses_the_seed(later, guess=2)
 
 
-def _assert_a_later_field_refuses_the_seed(later, top):
+def _assert_a_later_field_refuses_the_seed(later, guess):
     # (y^2 + k*x^2, -x^2, 0) is a syzygy of the Fermat cubic exactly modulo
     # the primes that divide k: here every voting prime before ``later``
     primes = BACKEND.primes
@@ -561,9 +598,9 @@ def _assert_a_later_field_refuses_the_seed(later, top):
     seed = _smooth_cubic_seed((f"y^2 + {k}*x^2", "-x^2", "0"))
     with pytest.raises(ArithmeticError,
                        match=f"seed syzygy fails in Fp:{primes[later]}$"):
-        _mdr_scan(f, 2, seed, BACKEND, top)
+        _mdr_scan(f, 2, seed, BACKEND, guess)
     assert _mdr_scan(f, 2, seed, make_backend(primes=primes[:later]),
-                     top) == 2
+                     guess)[0] == 2
 
 
 # -- one mdr per arrangement ----------------------------------------------------
