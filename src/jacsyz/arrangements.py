@@ -250,8 +250,15 @@ def _point_triple(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
     return SyzygyTriple(comps[0], comps[1], comps[2], d)
 
 
+def _require_lattice_point(A: LineArrangement, p: LatticePoint):
+    if p not in A.lattice().points:
+        raise ValueError(f"({':'.join(map(str, p.point))}) on lines {p.lines}"
+                         " is not a lattice point of the arrangement")
+
+
 def point_syzygy(A: LineArrangement, p: LatticePoint) -> SyzygyTriple:
     """``_point_triple``, verified against the arrangement's polynomial."""
+    _require_lattice_point(A, p)
     triple = _point_triple(A, p)
     if not verify_syzygy(A.f, triple):
         raise ArithmeticError("multiple-point syzygy failed verification")
@@ -282,7 +289,9 @@ def trichotomy(A: LineArrangement, p: LatticePoint,
     arrangement's mdr r, the one ``classify`` and
     ``multiplicity_bound_check`` find: either r = d-m (case 0), or r = m-1
     with freeness certified (case 1), or m <= r <= d-m-1 (case 2).  Raising
-    here would falsify the trichotomy theorem."""
+    here would falsify the trichotomy theorem; a point that is not a lattice
+    point of A is a ValueError."""
+    _require_lattice_point(A, p)
     case, r, _, report = _trichotomy(A.f, A.d - p.multiplicity, backend)
     return TrichotomyResult(("generic", "free", "middle").index(case), r,
                             p.multiplicity, A.d, report)

@@ -8,18 +8,10 @@ backend, f under the rational (exact) backend, and a curve over GF(p).  No
 computation runs in GF(p) with p <= deg f, where a partial derivative can
 vanish identically.  A modular backend needs at least one prime.
 
-A vote may come with an exact ``check(g, answer)``, true iff ``fn(g)``
-would return ``answer``.  Then the first field computes and every other
-field only checks that answer, which can cost far less than computing it
-(``syzygy._mdr_scan``).  Each field still gives its own answer, so the vote
-is the same: if every check passes, every field would have answered the
-first field's answer; if one fails, ``fn`` runs in every other field too,
-in order, as without a check, so a disagreement or an error raised in a
-field is reported exactly as it would be without one.  The caller may also
-hand in the first field's answer (``first``), when it has computed what
-``fn`` would return there; the vote then goes on as if ``fn`` had returned
-it.  That is how every seeded mdr search (``syzygy._mdr_scan``) hands in
-its first field, where it tests the predicted mdr its own way.
+The caller may hand in the first field's answer (``first``) when it has
+computed what ``fn`` would return there; the vote then goes on as if ``fn``
+had returned it.  That is how every mdr search (``syzygy._mdr_scan``)
+hands in its first field, where it tests the predicted mdr its own way.
 
 Pencil member invariants vote too, over two primes that split the
 discriminant roots (``pencils._split_members``), under the same rule: every
@@ -70,19 +62,14 @@ class Backend:
         else:
             raise ValueError(f"unknown backend mode {self.mode!r}")
 
-    def vote(self, fn, f, what="value", check=None, first=None):
+    def vote(self, fn, f, what="value", first=None):
         """Apply ``fn`` to f in every field ``fields_for`` picks under this
-        backend; all answers must agree.  With ``check``, the fields after
-        the first only check the first answer, and ``fn`` runs in them only
-        if a check fails (see the module docstring).  ``first``, when not
-        None, is the first field's answer, already proved by the caller, so
-        ``fn`` does not run there."""
+        backend; all answers must agree.  ``first``, when not None, is the
+        first field's answer, already proved by the caller, so ``fn`` does
+        not run there."""
         fields = fields_for(f, self)
-        answer = fn(f.map_field(fields[0])) if first is None else first
-        if check is not None and all(check(f.map_field(F), answer)
-                                     for F in fields[1:]):
-            return answer
-        answers = [answer] + [fn(f.map_field(F)) for F in fields[1:]]
+        answers = [fn(f.map_field(fields[0])) if first is None else first]
+        answers += [fn(f.map_field(F)) for F in fields[1:]]
         return agree(what, [(F.tag, a) for F, a in zip(fields, answers)])
 
 
@@ -111,14 +98,14 @@ def fields_for(f, backend: Backend | None = None) -> list:
 
 
 def compute(fn, f, backend: Backend | None = None, what="value",
-            check=None, first=None):
+            first=None):
     """``fn(f)`` in the fields of ``fields_for``: directly when that is f's
-    own field, else voted over the backend's primes (with ``check`` and
-    ``first``, as ``Backend.vote``).  A proved ``first`` answer in f's own
-    field is the answer."""
+    own field, else voted over the backend's primes (with ``first``, as
+    ``Backend.vote``).  A proved ``first`` answer in f's own field is the
+    answer."""
     if fields_for(f, backend) == [f.field]:
         return fn(f) if first is None else first
-    return backend.vote(fn, f, what, check, first)
+    return backend.vote(fn, f, what, first)
 
 
 def describe(f, backend: Backend | None = None) -> dict:

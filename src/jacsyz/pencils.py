@@ -151,6 +151,20 @@ class PencilProductSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "PencilProductSpec":
+        """The spec ``to_json`` writes.  A value of the wrong JSON type is a
+        ValueError that names its key."""
+        if not isinstance(data, dict):
+            raise ValueError("a pencil spec must be a JSON object")
+        for keys, kind, name in ((("q1", "q2", "field"), str, "a string"),
+                                 (("h",), (str, type(None)), "a string"),
+                                 (("t", "groups"), list, "a list"),
+                                 (("include_q1", "include_q2"), bool,
+                                  "true or false")):
+            for key in keys:
+                if key in data and not isinstance(data[key], kind):
+                    raise ValueError(f"pencil spec key {key!r} must be {name}")
+        if not all(isinstance(g, list) for g in data.get("groups", [])):
+            raise ValueError("pencil spec key 'groups' must hold lists")
         F = parse_field_tag(data.get("field", "Q"))
         pencil = PencilSpec(poly_parse(data["q1"], F),
                             poly_parse(data["q2"], F))

@@ -17,11 +17,10 @@ eliminates with the same kernel.
 route, a paper's syzygy for the pencil theorems) it ranks AR_r only for
 r < u, since AR_r != 0 implies AR_{r+1} != 0.  It tests one predicted mdr
 first, when the caller has one (``tjurina._seeded_mdr``), and scans upward
-only where the test leaves the answer open.  In the first voting field the
-test is the certificate's nullspace at the prediction when the caller
-wants a certificate, else at most two ranks (at r-1 and r) or one rank and
-the seed; each other field checks the first field's answer the same way
-(``Backend.vote`` with ``first``) and searches only if the check fails.
+only where the test leaves the answer open.  Every voting field runs that
+one search: the first from the prediction (tested by the certificate's
+nullspace when the caller wants a certificate), every other field from the
+first field's answer, which it proves with at most two ranks if it agrees.
 
 ``ar_slice`` converts and re-verifies every basis triple of AR_r;
 ``classify`` reports only basis vector 0, and ``_first_syzygy`` and
@@ -247,28 +246,22 @@ def _mdr_scan(f: HomogPoly, u: int, build, backend: Backend | None = None,
 
     Since x * (a, b, c) is a nonzero syzygy of degree s + 1 whenever
     (a, b, c) is one of degree s, AR_{r-1} = 0 gives AR_s = 0 for every
-    s < r.  The search tests ``guess`` first and scans upward only where
-    the test leaves the answer open, ranking no degree twice:
-    AR_{guess-1} != 0 leaves 0 .. guess-2 (else the answer is guess-1);
-    AR_{guess-1} = 0 and AR_guess != 0 (the seed, at guess = u) prove
-    guess; AR_guess = 0 leaves guess+1 .. u-1.  Without a guess it scans
-    0 .. u-1.
+    s < r.  ``search(g, hint)`` tests ``hint`` first and scans upward only
+    where the test leaves the answer open, ranking no degree twice:
+    AR_{hint-1} != 0 leaves 0 .. hint-2 (else the answer is hint-1);
+    AR_{hint-1} = 0 and AR_hint != 0 (the seed, at hint = u) prove hint;
+    AR_hint = 0 leaves hint+1 .. u-1.  Without a hint it scans 0 .. u-1.
+    The first field searches from ``guess``, every other voting field from
+    the first field's answer (``Backend.vote`` with ``first``).
 
-    In the first field of ``compute`` (``image``, when given, is f there)
-    the guess is tested by the certificate's nullspace of AR(image)_guess.
-    A nonzero one proves mdr = guess when guess = 0, or dim AR_guess <= 2,
-    or one rank shows AR_{guess-1} = 0, and at guess = u the seed is
-    verified too; it is then the certificate.  dim AR_guess <= 2 gives
+    In the first field (``image``, when given, is f there) the guess is
+    tested by the certificate's nullspace of AR(image)_guess.  A nonzero
+    one proves mdr = guess when guess = 0, or dim AR_guess <= 2, or one
+    rank shows AR_{guess-1} = 0, and at guess = u the seed is verified
+    too; it is then the certificate.  dim AR_guess <= 2 gives
     AR_{guess-1} = 0: a nonzero rho' there puts x*rho', y*rho', z*rho' in
     AR_guess, and they are independent, since (a*x + b*y + c*z) * rho' = 0
-    forces a = b = c = 0.  Without ``image`` the guess is tested by ranks,
-    as ``check`` tests an answer.
-
-    ``check(g, r)``, AR_{r-1} = 0 and then AR_r != 0 (r < u) or the seed
-    verified in g's field (r = u), passes iff the search in g answers r.
-    Every voting field after the first checks the first field's answer
-    instead of searching (``Backend.vote`` with ``first``), and searches
-    only if the check fails."""
+    forces a = b = c = 0."""
     seed = lru_cache(maxsize=None)(
         lambda: _primitive(build()) if f.field == QQ else build())
 
@@ -285,25 +278,20 @@ def _mdr_scan(f: HomogPoly, u: int, build, backend: Backend | None = None,
                 f"the degree-{u} seed syzygy fails in {g.field.tag}")
         return r
 
-    def search(g: HomogPoly) -> int:
-        if guess is None:
+    def search(g: HomogPoly, hint: int | None) -> int:
+        if hint is None:
             return scan(g)
-        if guess > 0 and ar_dimension(g, guess - 1) > 0:
-            return scan(g, 0, guess - 1)
-        if guess < u and ar_dimension(g, guess) == 0:
-            return scan(g, guess + 1)
-        return scan(g, guess, guess)
-
-    def check(g: HomogPoly, r: int) -> bool:
-        if r > 0 and ar_dimension(g, r - 1) > 0:
-            return False
-        return ar_dimension(g, r) > 0 if r < u else seeded(g)
+        if hint > 0 and ar_dimension(g, hint - 1) > 0:
+            return scan(g, 0, hint - 1)
+        if hint < u and ar_dimension(g, hint) == 0:
+            return scan(g, hint + 1)
+        return scan(g, hint, hint)
 
     certificate = None
     if image is None or guess is None:
         F = fields_for(f, backend)[0]
         first = search(image if image is not None
-                       else f if F == f.field else f.map_field(F))
+                       else f if F == f.field else f.map_field(F), guess)
     else:
         vecs = _slice_nullspace(image, guess)
         if not vecs:
@@ -315,8 +303,8 @@ def _mdr_scan(f: HomogPoly, u: int, build, backend: Backend | None = None,
                 image.field, vecs[0], guess, image.degree))
         else:
             first = scan(image, 0, guess - 1)
-    return (compute(search, f, backend, what="mdr", check=check, first=first),
-            certificate)
+    return (compute(lambda g: search(g, first), f, backend, what="mdr",
+                    first=first), certificate)
 
 
 def mdr(f: HomogPoly, backend: Backend | None = None) -> int:

@@ -28,8 +28,9 @@ one of three routes:
   (dim AR_r <= 2, or one rank at r-1), and scans upward only if the test
   fails.
 - Rank.  Every other curve gets mdr from the scan seeded by the Koszul
-  syzygy at d-1 (``mdr``, the checked vote: only the first voting prime
-  scans), and its verdict at that mdr is voted in every field.  For
+  syzygy at d-1 (``mdr``; every other voting prime searches from the
+  first prime's answer), and its verdict at that mdr is voted in every
+  field.  For
   r >= 1 and 2r <= d-1 one rank decides freeness (``_free_by_rank``):
   f is free with exponents (r, d-1-r) iff dim AR_{d-1-r} > dim S_{d-1-2r},
   and then tau = (d-1)^2 - r(d-1-r).  Proof, for f reduced (which

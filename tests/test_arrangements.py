@@ -229,6 +229,24 @@ def test_trichotomy_cases():
     assert trichotomy(B, B.lattice().points[0]).case == 1
 
 
+def _foreign_points():
+    # the triple point (0:0:1) of x, y, x+y, z, x+2y+5z is a double point of
+    # x, y, z, x+y+z; (1:2:3) is on no line of either
+    B = LineArrangement(QQ, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1),
+                             (1, 2, 5)])
+    return [B.lattice().point_at((0, 0, 1)),
+            LatticePoint((1, 2, 3), 5, (0, 1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("p", _foreign_points(), ids=["other", "made-up"])
+@pytest.mark.parametrize("fn", [trichotomy, point_syzygy])
+def test_a_point_off_the_lattice_is_refused(fn, p):
+    A = LineArrangement(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    assert p not in A.lattice().points
+    with pytest.raises(ValueError, match="is not a lattice point"):
+        fn(A, p)
+
+
 def test_multiplicity_bound():
     for name in ["triangle", "ex1", "ex2a", "ex2b"]:
         A = get_fixture(name).arrangement

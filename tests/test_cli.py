@@ -177,6 +177,33 @@ def test_pencil_spec_json_input(capsys, tmp_path):
     assert code == 0 and "primitive" in out
 
 
+FERMAT_CUBICS = {"q1": "x^3 - y^3", "q2": "y^3 - z^3", "t": ["1"]}
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("include_q1", 2, "be true or false"),  # counted as two members
+    ("include_q2", "false", "be true or false"),
+    ("t", "12", "be a list"),  # read as the members t = 1 and t = 2
+    ("groups", ["1"], "hold lists"),
+    ("q1", 5, "be a string"),
+])
+def test_a_pencil_spec_value_of_the_wrong_type_exits_1(
+        capsys, tmp_path, key, value, kind):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**FERMAT_CUBICS, key: value}))
+    code, out, err = run(capsys, "pencil", "syzygy", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"input error: pencil spec key {key!r} must {kind}\n"
+
+
+def test_a_pencil_spec_that_is_no_object_exits_1(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps([FERMAT_CUBICS]))
+    code, out, err = run(capsys, "pencil", "syzygy", str(path))
+    assert (code, out) == (1, "")
+    assert err == "input error: a pencil spec must be a JSON object\n"
+
+
 def test_pencil_unknown_input(capsys):
     code, _, err = run(capsys, "pencil", "classify", "no-such-thing")
     assert code == 1

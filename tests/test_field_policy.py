@@ -9,7 +9,8 @@ import pytest
 
 from jacsyz.arrangements import (LineArrangement, multiplicity_bound_check,
                                  trichotomy)
-from jacsyz.backend import compute, describe, fields_for, make_backend
+from jacsyz.backend import (BackendDisagreement, compute, describe, fields_for,
+                            make_backend)
 from jacsyz.cli import main
 from jacsyz.fields import FieldError, PrimeField, QQ
 from jacsyz.fixtures import get_fixture
@@ -121,28 +122,27 @@ def test_pencil_theorems_draw_seeded_default_primes():
     assert a.report.primes == b.report.primes == make_backend(seed=0).primes
 
 
-def test_a_checked_vote_computes_once_and_checks_the_other_fields():
+def test_a_first_answer_is_voted_with_the_other_fields():
     f = poly_parse(NEARLY_FREE)
     backend = make_backend(primes=[1000003, 1000033, 1000037])
-    first, *rest = backend.fields
-    computed, checked = [], []
+    computed = []
 
     def fn(g):
         computed.append(g.field)
         return g.degree
-
-    def check(g, answer):
-        checked.append(g.field)
-        return answer == g.degree
-    assert compute(fn, f, backend, check=check) == 6
-    assert (computed, checked) == ([first], rest)
+    # fn runs only in the fields after the first, whose answer is handed in
+    assert compute(fn, f, backend, "degree", first=6) == 6
+    assert computed == backend.fields[1:]
     computed.clear()
-    # a failed check: fn runs in every field, as in a vote without a check
-    assert backend.vote(fn, f, check=lambda g, answer: False) == 6
-    assert computed == backend.fields
+    with pytest.raises(BackendDisagreement) as exc:
+        backend.vote(fn, f, "degree", first=5)
+    assert exc.value.answers == [(F.tag, a) for F, a in
+                                 zip(backend.fields, [5, 6, 6])]
+    assert computed == backend.fields[1:]
     computed.clear()
-    assert compute(fn, f, check=lambda g, answer: False) == 6
-    assert computed == [QQ]  # f's own field: no vote, so no check
+    # f's own field: no vote, and the handed-in answer is the answer
+    assert compute(fn, f, first=5) == 5
+    assert computed == []
 
 
 @pytest.mark.parametrize("primes", [0, -2, []])

@@ -631,7 +631,7 @@ def _columns(r):
 def test_a_proved_mdr_takes_no_rank_in_the_first_field(cones, index,
                                                         monkeypatch):
     # dim AR_mdr <= 2 proves AR_{mdr-1} = 0, so the first prime's one
-    # elimination is the certificate's nullspace; the others check
+    # elimination is the certificate's nullspace; the others search from r
     B, _ = cones[index]
     p, *rest = MODULAR.primes
     r = classify(B.f, MODULAR).mdr
@@ -640,10 +640,10 @@ def test_a_proved_mdr_takes_no_rank_in_the_first_field(cones, index,
     classify(B.f, MODULAR)
     assert [e for e in seen if e[1] == p] == [
         ("nullspace_mod_np", p, _columns(r))]
-    check = [r - 1] + [r] * (r < B.d - B.lattice().m_max)
+    agreeing = [r - 1] + [r] * (r < B.d - B.lattice().m_max)
     for q in rest:
         assert [e for e in seen if e[1] == q] == [
-            ("rank_mod_np", q, _columns(k)) for k in check]
+            ("rank_mod_np", q, _columns(k)) for k in agreeing]
 
 
 def test_a_third_syzygy_costs_the_first_field_one_rank(monkeypatch):

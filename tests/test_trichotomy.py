@@ -6,9 +6,10 @@ certifies mdr = u with that syzygy, built lazily and verified in each
 computing field.  ``trichotomy``, ``thm11_trichotomy``, ``thm13_trichotomy``
 and ``multiplicity_bound_check`` all go through it.  The reference functions
 below scan mdr from degree 0 up to d-1 and then split the cases, as the
-code did before the seed.  Under a modular backend only the first voting
-prime scans and the others check its answer; the last tests compare that
-vote with each prime's own scan.
+code did before the seed.  Under a modular backend every voting prime
+runs the same search: the first from the predicted mdr, the others from
+the first prime's answer, so that a prime that agrees takes only the ranks
+that prove it; the last tests compare that vote with each prime's own scan.
 """
 
 import random
@@ -357,7 +358,7 @@ def test_free_case_is_exactly_d_minus_1_minus_u():
     assert c.report.exponents == (4, 5)
 
 
-# -- the checked vote: the first prime scans, the others check --------------
+# -- the vote: later primes search from the first prime's answer -----------
 
 SEEDED = [make_backend(seed=s) for s in (0, 7)]
 
@@ -410,13 +411,13 @@ def _ranks_by_field(monkeypatch):
 
 def _expected_ranks(f, backend, r, u, scan=None):
     """The first field takes the ranks ``scan``, by default an upward scan
-    of 0..r (0..u-1 at r = u).  Every other field ranks at r-1 and, below
-    the seed degree, at r."""
+    of 0..r (0..u-1 at r = u).  Every other field searches from r and, as
+    it agrees, ranks at r-1 and, below the seed degree, at r."""
     first, *rest = fields_for(f, backend)
-    check = [r - 1] * (r > 0) + [r] * (r < u)
+    agreeing = [r - 1] * (r > 0) + [r] * (r < u)
     if scan is None:
         scan = list(range(min(r + 1, u)))
-    ranks = {first: scan, **{F: check for F in rest}}
+    ranks = {first: scan, **{F: agreeing for F in rest}}
     return {F: seen for F, seen in ranks.items() if seen}
 
 
@@ -577,6 +578,36 @@ def test_a_bad_prime_in_any_position_gives_the_same_disagreement(position):
             fn(f, backend)
         assert str(exc.value) == message
         assert (exc.value.what, exc.value.answers) == ("mdr", answers)
+
+
+# the ranks of each voting field, in field order, on that disagreement:
+# every field after the first searches from the first field's answer, and
+# one that disagrees goes on to its own mdr
+DISAGREEMENT_RANKS = {
+    (0, "classify"): ([1, 0], [0, 1], [0, 1]),
+    (0, "mdr"): ([0, 1], [0, 1, 2], [0, 1, 2]),
+    (1, "classify"): ([1], [1, 0], [1]),
+    (1, "mdr"): ([0, 1, 2], [1, 0], [1, 2]),
+    (2, "classify"): ([1], [1], [1, 0]),
+    (2, "mdr"): ([0, 1, 2], [1, 2], [1, 0]),
+}
+
+
+@pytest.mark.parametrize("position, call", sorted(DISAGREEMENT_RANKS))
+def test_a_disagreeing_field_searches_from_the_first_answer(
+        position, call, monkeypatch):
+    primes = [1000033, 1000037]
+    primes.insert(position, BAD)
+    backend = make_backend(primes=primes)
+    A = LineArrangement(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, BAD)])
+    # classify takes the arrangement route, mdr gets the bare curve
+    f, fn = ((A.f, classify) if call == "classify"
+             else (poly_parse(A.f.to_str()), mdr))
+    seen = _ranks_by_field(monkeypatch)
+    with pytest.raises(BackendDisagreement, match="disagreement on mdr"):
+        fn(f, backend)
+    assert tuple(seen.get(F, []) for F in backend.fields) == (
+        DISAGREEMENT_RANKS[position, call])
 
 
 @pytest.mark.parametrize("later", [1, 2])
